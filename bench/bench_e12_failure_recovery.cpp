@@ -30,7 +30,7 @@ struct Rig {
     agent = std::make_unique<pfs::ClientAgent>(&sim, server.get(), pfs::ClientAgent::Options{});
     file = server->CreateFile(pfs::FileType::kNormal);
     bool ck = false;
-    server->Checkpoint([&]() { ck = true; });
+    server->Checkpoint([&](bool) { ck = true; });
     sim.RunUntilPredicate([&]() { return ck; });
   }
 

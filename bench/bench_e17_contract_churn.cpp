@@ -6,7 +6,7 @@
 // scanned all VCs. This harness measures the signalling plane the way an
 // exchange would be specified: sustained open / renegotiate / close
 // contract operations per second on generated metro fabrics — pure
-// control-plane work against the route cache, the flat reservation ledger
+// control-plane work against the per-source route trees, the flat reservation ledger
 // and the per-link VC index — alongside the scenario engine's end-to-end
 // admission latency on the same fabrics. After every churn round the
 // reservation ledger must drain to exactly zero on every link.
@@ -68,6 +68,10 @@ struct ChurnPoint {
   double reneg_seconds = 0;
   double close_seconds = 0;
   bool drained = true;
+  // atm::Network route-resolution counters over the whole run: resolves
+  // served and the per-source BFS trees built to serve them.
+  int64_t route_resolves = 0;
+  int64_t route_trees_built = 0;
 
   double opens_per_sec() const { return open_seconds > 0 ? opens / open_seconds : 0; }
   double renegs_per_sec() const { return reneg_seconds > 0 ? renegotiates / reneg_seconds : 0; }
@@ -143,6 +147,8 @@ void RunChurn(ChurnPoint* point, uint64_t seed) {
       }
     }
   }
+  point->route_resolves = system.network().route_resolves();
+  point->route_trees_built = system.network().route_trees_built();
 }
 
 // Scenario-engine point (identical parameters to bench_e16) for end-to-end
@@ -178,6 +184,7 @@ void AddChurnRow(sim::Table* table, const ChurnPoint& p) {
                  sim::Table::Num(p.opens_per_sec() / 1e3, 1),
                  sim::Table::Num(p.renegs_per_sec() / 1e3, 1),
                  sim::Table::Num(p.closes_per_sec() / 1e3, 1),
+                 sim::Table::Int(p.route_resolves), sim::Table::Int(p.route_trees_built),
                  std::string(p.drained ? "yes" : "NO")});
 }
 
@@ -190,10 +197,11 @@ int RunSmoke(int seconds) {
   p.rounds = 2;
   RunChurn(&p, 17);
   std::printf("smoke: %d switches, %d hosts: %lld opens (%lld rejected), %lld renegotiations, "
-              "%lld closes; ledger drained: %s\n",
+              "%lld closes; %lld route resolves from %lld route trees; ledger drained: %s\n",
               p.switches, p.hosts, static_cast<long long>(p.opens),
               static_cast<long long>(p.open_rejects), static_cast<long long>(p.renegotiates),
-              static_cast<long long>(p.closes), p.drained ? "yes" : "NO");
+              static_cast<long long>(p.closes), static_cast<long long>(p.route_resolves),
+              static_cast<long long>(p.route_trees_built), p.drained ? "yes" : "NO");
   const bool ok = p.opens > 0 && p.renegotiates > 0 && p.closes == p.opens && p.drained;
   bench::PrintVerdict(
       ok, ok ? "contract churn opened, renegotiated and closed with the ledger drained to zero"
@@ -223,10 +231,12 @@ int RunSnapshot() {
     std::printf("    {\"name\": \"%s\", \"switches\": %d, \"hosts\": %d, \"opens\": %lld, "
                 "\"open_rejects\": %lld, \"opens_per_sec\": %.0f, "
                 "\"renegotiates_per_sec\": %.0f, \"closes_per_sec\": %.0f, "
+                "\"route_resolves\": %lld, \"route_trees_built\": %lld, "
                 "\"ledger_drained\": %s}%s\n",
                 p.name.c_str(), p.switches, p.hosts, static_cast<long long>(p.opens),
                 static_cast<long long>(p.open_rejects), p.opens_per_sec(), p.renegs_per_sec(),
-                p.closes_per_sec(), p.drained ? "true" : "false",
+                p.closes_per_sec(), static_cast<long long>(p.route_resolves),
+                static_cast<long long>(p.route_trees_built), p.drained ? "true" : "false",
                 i + 1 < churn.size() ? "," : "");
   }
   std::printf("  ],\n  \"admission\": [\n");
@@ -274,7 +284,7 @@ int main(int argc, char** argv) {
     RunChurn(&p, 17);
   }
   sim::Table t1({"point", "switches", "hosts", "opens", "rejects", "open kop/s",
-                 "reneg kop/s", "close kop/s", "drained"});
+                 "reneg kop/s", "close kop/s", "resolves", "route trees", "drained"});
   for (const auto& p : churn) {
     AddChurnRow(&t1, p);
   }

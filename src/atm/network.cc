@@ -79,9 +79,9 @@ void Network::ConnectSwitches(Switch* a, int port_a, Switch* b, int port_b, int6
   a->AttachOutput(port_a, ab);
   b->AttachOutput(port_b, ba);
 
-  auto insert_edge = [this](Switch* s, Switch* t, int out_port, Link* l) {
+  auto insert_edge = [this](Switch* s, Switch* t, int out_port, int in_port, Link* l) {
     auto& row = adjacency_[static_cast<size_t>(s->id())];
-    const Edge edge{t->id(), t, out_port, l};
+    const Edge edge{t->id(), t, out_port, in_port, l};
     auto it = std::lower_bound(row.begin(), row.end(), edge.to_id,
                                [](const Edge& e, int id) { return e.to_id < id; });
     if (it != row.end() && it->to_id == edge.to_id) {
@@ -90,93 +90,64 @@ void Network::ConnectSwitches(Switch* a, int port_a, Switch* b, int port_b, int6
       row.insert(it, edge);
     }
   };
-  insert_edge(a, b, port_a, ab);
-  insert_edge(b, a, port_b, ba);
+  insert_edge(a, b, port_a, port_b, ab);
+  insert_edge(b, a, port_b, port_a, ba);
   ++topology_epoch_;
 }
 
-const Network::Edge* Network::FindEdge(const Switch* a, const Switch* b) const {
-  const int a_id = a->id();
-  if (a_id < 0 || static_cast<size_t>(a_id) >= adjacency_.size()) {
-    return nullptr;
-  }
-  const auto& row = adjacency_[static_cast<size_t>(a_id)];
-  auto it = std::lower_bound(row.begin(), row.end(), b->id(),
-                             [](const Edge& e, int id) { return e.to_id < id; });
-  return (it != row.end() && it->to == b) ? &*it : nullptr;
-}
-
-void Network::ComputePath(Switch* from, Switch* to, CachedPath* out) const {
-  out->epoch = topology_epoch_;
-  out->reachable = false;
-  out->first = from;
-  out->hops.clear();
-  out->links_latency = 0;
+const std::vector<const Network::Edge*>* Network::SwitchPath(const Switch* from,
+                                                             const Switch* to) const {
+  ++route_resolves_;
   const int n = static_cast<int>(adjacency_.size());
   const int from_id = from->id();
   const int to_id = to->id();
   if (from_id < 0 || from_id >= n || to_id < 0 || to_id >= n) {
-    return;
+    return nullptr;
   }
-  if (from == to) {
-    out->reachable = true;
-    return;
+  path_scratch_.clear();
+  if (from_id == to_id) {
+    return &path_scratch_;
   }
-  // Breadth-first over switch ids; each adjacency row is sorted by
-  // neighbour id, so equal-length paths tie-break by insertion order —
-  // never by heap address.
-  std::vector<int> parent(static_cast<size_t>(n), -1);
-  std::vector<char> visited(static_cast<size_t>(n), 0);
-  std::vector<int> frontier;
-  frontier.reserve(static_cast<size_t>(n));
-  visited[static_cast<size_t>(from_id)] = 1;
-  frontier.push_back(from_id);
-  for (size_t head = 0; head < frontier.size(); ++head) {
-    const int cur = frontier[head];
-    if (cur == to_id) {
-      break;
-    }
-    for (const Edge& e : adjacency_[static_cast<size_t>(cur)]) {
-      if (!visited[static_cast<size_t>(e.to_id)]) {
-        visited[static_cast<size_t>(e.to_id)] = 1;
-        parent[static_cast<size_t>(e.to_id)] = cur;
-        frontier.push_back(e.to_id);
+  if (route_trees_.size() <= static_cast<size_t>(from_id)) {
+    route_trees_.resize(static_cast<size_t>(n));
+  }
+  RouteTree& tree = route_trees_[static_cast<size_t>(from_id)];
+  if (tree.epoch != topology_epoch_) {
+    // One full BFS over switch ids. Each adjacency row is sorted by
+    // neighbour id, so equal-length paths tie-break by insertion order —
+    // never by heap address — and a parent, once set, never changes: every
+    // destination's chain is the one an early-exit BFS to it would find.
+    ++route_trees_built_;
+    tree.epoch = topology_epoch_;
+    tree.parent.assign(static_cast<size_t>(n), -1);
+    tree.parent[static_cast<size_t>(from_id)] = from_id;
+    std::vector<int32_t> frontier;
+    frontier.reserve(static_cast<size_t>(n));
+    frontier.push_back(from_id);
+    for (size_t head = 0; head < frontier.size(); ++head) {
+      const int32_t cur = frontier[head];
+      for (const Edge& e : adjacency_[static_cast<size_t>(cur)]) {
+        if (tree.parent[static_cast<size_t>(e.to_id)] < 0) {
+          tree.parent[static_cast<size_t>(e.to_id)] = cur;
+          frontier.push_back(e.to_id);
+        }
       }
     }
   }
-  if (!visited[static_cast<size_t>(to_id)]) {
-    return;
+  if (tree.parent[static_cast<size_t>(to_id)] < 0) {
+    return nullptr;
   }
-  // Reconstruct dst -> src, then emit hops in src -> dst order.
-  std::vector<int> reversed;
-  for (int s = to_id; s != from_id; s = parent[static_cast<size_t>(s)]) {
-    reversed.push_back(s);
+  // Walk dst -> src, taking each hop's edge from the parent's sorted row,
+  // then emit the hops in src -> dst order.
+  for (int v = to_id; v != from_id;) {
+    const int u = tree.parent[static_cast<size_t>(v)];
+    const auto& row = adjacency_[static_cast<size_t>(u)];
+    path_scratch_.push_back(&*std::lower_bound(
+        row.begin(), row.end(), v, [](const Edge& e, int id) { return e.to_id < id; }));
+    v = u;
   }
-  reversed.push_back(from_id);
-  out->hops.reserve(reversed.size() - 1);
-  for (size_t i = reversed.size() - 1; i > 0; --i) {
-    Switch* cur = switches_[static_cast<size_t>(reversed[i])].get();
-    Switch* next = switches_[static_cast<size_t>(reversed[i - 1])].get();
-    const Edge* fwd = FindEdge(cur, next);
-    const Edge* back = FindEdge(next, cur);
-    if (fwd == nullptr || back == nullptr) {
-      out->hops.clear();
-      return;
-    }
-    out->hops.push_back(CachedHop{next, fwd->out_port, fwd->link, back->out_port});
-    out->links_latency += fwd->link->propagation_delay() + fwd->link->cell_time();
-  }
-  out->reachable = true;
-}
-
-const Network::CachedPath* Network::ResolvePath(Switch* from, Switch* to) const {
-  const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(from->id())) << 32) |
-                       static_cast<uint32_t>(to->id());
-  CachedPath& entry = route_cache_[key];
-  if (entry.epoch != topology_epoch_ || entry.first != from) {
-    ComputePath(from, to, &entry);
-  }
-  return &entry;
+  std::reverse(path_scratch_.begin(), path_scratch_.end());
+  return &path_scratch_;
 }
 
 std::optional<ResolvedRoute> Network::ResolveRoute(const Endpoint* src,
@@ -188,20 +159,20 @@ std::optional<ResolvedRoute> Network::ResolveRoute(const Endpoint* src,
   }
   const Attachment& src_at = src_it->second;
   const Attachment& dst_at = dst_it->second;
-  const CachedPath* path = ResolvePath(src_at.sw, dst_at.sw);
-  if (!path->reachable) {
+  const auto* hops = SwitchPath(src_at.sw, dst_at.sw);
+  if (hops == nullptr) {
     return std::nullopt;
   }
   ResolvedRoute route;
-  route.links.reserve(path->hops.size() + 2);
+  route.links.reserve(hops->size() + 2);
   route.links.push_back(src_at.to_switch);
-  for (const CachedHop& hop : path->hops) {
-    route.links.push_back(hop.link);
+  for (const Edge* hop : *hops) {
+    route.links.push_back(hop->link);
   }
   route.links.push_back(dst_at.from_switch);
-  route.latency_ns = path->links_latency +
-                     src_at.to_switch->propagation_delay() + src_at.to_switch->cell_time() +
-                     dst_at.from_switch->propagation_delay() + dst_at.from_switch->cell_time();
+  for (const Link* l : route.links) {
+    route.latency_ns += l->propagation_delay() + l->cell_time();
+  }
   route.epoch = topology_epoch_;
   return route;
 }
@@ -251,31 +222,12 @@ std::optional<sim::DurationNs> Network::PathLatencyNs(const Endpoint* src,
 }
 
 std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos) {
-  auto src_it = endpoint_attachments_.find(src);
-  auto dst_it = endpoint_attachments_.find(dst);
-  if (src_it == endpoint_attachments_.end() || dst_it == endpoint_attachments_.end()) {
+  auto route = ResolveRoute(src, dst);
+  if (!route.has_value()) {
     ++rejections_no_path_;
     return std::nullopt;
   }
-  const Attachment& src_at = src_it->second;
-  const Attachment& dst_at = dst_it->second;
-
-  const CachedPath* path = ResolvePath(src_at.sw, dst_at.sw);
-  if (!path->reachable) {
-    ++rejections_no_path_;
-    return std::nullopt;
-  }
-
-  // Collect the links the VC will traverse, in order.
-  std::vector<Link*> hop_links;
-  hop_links.reserve(path->hops.size() + 2);
-  hop_links.push_back(src_at.to_switch);
-  for (const CachedHop& hop : path->hops) {
-    hop_links.push_back(hop.link);
-  }
-  hop_links.push_back(dst_at.from_switch);
-
-  return OpenVcAlongPath(src, dst, qos, src_at, dst_at, *path, std::move(hop_links));
+  return OpenVc(src, dst, qos, *route);
 }
 
 std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos,
@@ -293,19 +245,13 @@ std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpe
   }
   const Attachment& src_at = src_it->second;
   const Attachment& dst_at = dst_it->second;
-  const CachedPath* path = ResolvePath(src_at.sw, dst_at.sw);
-  if (!path->reachable) {
+  const auto* hops = SwitchPath(src_at.sw, dst_at.sw);
+  if (hops == nullptr) {
     ++rejections_no_path_;
     return std::nullopt;
   }
-  return OpenVcAlongPath(src, dst, qos, src_at, dst_at, *path, route.links);
-}
+  const std::vector<Link*>& hop_links = route.links;
 
-std::optional<VcDescriptor> Network::OpenVcAlongPath(Endpoint* src, Endpoint* dst, QosSpec qos,
-                                                     const Attachment& src_at,
-                                                     const Attachment& dst_at,
-                                                     const CachedPath& path,
-                                                     std::vector<Link*> hop_links) {
   // Admission control: the reservation must fit on every traversed link.
   if (qos.peak_bps > 0) {
     for (Link* l : hop_links) {
@@ -322,16 +268,16 @@ std::optional<VcDescriptor> Network::OpenVcAlongPath(Endpoint* src, Endpoint* ds
   Vci in_vci = src_at.sw->AllocateVci(src_at.port);
   const Vci source_vci = in_vci;
   int in_port = src_at.port;
-  Switch* sw = path.first;
-  for (const CachedHop& hop : path.hops) {
+  Switch* sw = src_at.sw;
+  for (const Edge* hop : *hops) {
     // The VCI on the inter-switch link is whatever is free on the next
     // switch's input port.
-    const Vci out_vci = hop.next->AllocateVci(hop.next_in_port);
-    sw->AddRoute(in_port, in_vci, hop.out_port, out_vci);
+    const Vci out_vci = hop->to->AllocateVci(hop->in_port);
+    sw->AddRoute(in_port, in_vci, hop->out_port, out_vci);
     state.hops.push_back(HopRecord{sw, in_port, in_vci});
-    in_port = hop.next_in_port;
+    in_port = hop->in_port;
     in_vci = out_vci;
-    sw = hop.next;
+    sw = hop->to;
   }
   sw->AddRoute(in_port, in_vci, dst_at.port, dst_vci);
   state.hops.push_back(HopRecord{sw, in_port, in_vci});
@@ -349,11 +295,11 @@ std::optional<VcDescriptor> Network::OpenVcAlongPath(Endpoint* src, Endpoint* ds
   desc.source_vci = source_vci;
   desc.destination_vci = dst_vci;
   desc.qos = qos;
-  desc.hop_count = static_cast<int>(path.hops.size()) + 1;
+  desc.hop_count = static_cast<int>(hops->size()) + 1;
   for (Link* l : hop_links) {
     link_vcs_[static_cast<size_t>(l->id())].push_back(desc.id);
   }
-  state.hop_links = std::move(hop_links);
+  state.hop_links = hop_links;
   state.desc = desc;
   vcs_[desc.id] = std::move(state);
   return desc;
@@ -423,8 +369,8 @@ bool Network::PlanGraft(const McastState& m, Endpoint* leaf,
     return false;
   }
   const Attachment& leaf_at = leaf_it->second;
-  const CachedPath* path = ResolvePath(m.root, leaf_at.sw);
-  if (!path->reachable) {
+  const auto* hops = SwitchPath(m.root, leaf_at.sw);
+  if (hops == nullptr) {
     return false;
   }
   auto in_tree = [&](int sw_id) {
@@ -434,20 +380,20 @@ bool Network::PlanGraft(const McastState& m, Endpoint* leaf,
     return m.branches.count(key) > 0 || planned_branches->count(key) > 0;
   };
   const Switch* cur = m.root;
-  for (const CachedHop& hop : path->hops) {
-    const std::pair<int, int> key{cur->id(), hop.out_port};
+  for (const Edge* hop : *hops) {
+    const std::pair<int, int> key{cur->id(), hop->out_port};
     if (!have_branch(key)) {
-      if (in_tree(hop.next->id())) {
+      if (in_tree(hop->to_id)) {
         // The fresh path reaches a tree switch over a different edge than
         // the tree's — grafting would give that switch two incoming edges
         // (duplicate delivery). Only possible after a topology change.
         return false;
       }
       planned_branches->insert(key);
-      planned_nodes->insert(hop.next->id());
-      new_links->push_back(hop.link);
+      planned_nodes->insert(hop->to_id);
+      new_links->push_back(hop->link);
     }
-    cur = hop.next;
+    cur = hop->to;
   }
   const std::pair<int, int> leaf_key{cur->id(), leaf_at.port};
   if (have_branch(leaf_key)) {
@@ -484,7 +430,7 @@ void Network::UnchargeTreeLink(VcState& state, Link* link) {
 
 void Network::CommitGraft(VcState& state, McastState& m, Endpoint* leaf) {
   const Attachment& leaf_at = endpoint_attachments_.at(leaf);
-  const CachedPath* path = ResolvePath(m.root, leaf_at.sw);
+  const auto* hops = SwitchPath(m.root, leaf_at.sw);
   McastLeafRec rec;
   rec.leaf = leaf;
   auto add_branch = [&](Switch* sw, int out_port, Vci out_vci, Link* link, int next_switch_id) {
@@ -498,16 +444,16 @@ void Network::CommitGraft(VcState& state, McastState& m, Endpoint* leaf) {
     ChargeTreeLink(state, link);
   };
   Switch* cur = m.root;
-  for (const CachedHop& hop : path->hops) {
-    const std::pair<int, int> key{cur->id(), hop.out_port};
+  for (const Edge* hop : *hops) {
+    const std::pair<int, int> key{cur->id(), hop->out_port};
     if (m.branches.count(key) == 0) {
-      const Vci out_vci = hop.next->AllocateVci(hop.next_in_port);
-      m.node_in[hop.next->id()] = {hop.next_in_port, out_vci};
-      add_branch(cur, hop.out_port, out_vci, hop.link, hop.next->id());
+      const Vci out_vci = hop->to->AllocateVci(hop->in_port);
+      m.node_in[hop->to_id] = {hop->in_port, out_vci};
+      add_branch(cur, hop->out_port, out_vci, hop->link, hop->to_id);
     }
     ++m.branches.at(key).refs;
     rec.branch_keys.push_back(key);
-    cur = hop.next;
+    cur = hop->to;
   }
   rec.leaf_vci = leaf->AllocateIncomingVci();
   const std::pair<int, int> leaf_key{cur->id(), leaf_at.port};

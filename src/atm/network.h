@@ -6,13 +6,17 @@
 // control, and the routing-table updates are exactly the operations a
 // device-managing workstation performs on its local switch.
 //
-// Admission-plane fast path: path resolution is cached per (src switch,
-// dst switch) pair and invalidated by a topology epoch, the reservation
-// ledger is a flat vector indexed by dense link id, and a per-link -> VC
-// index makes congestion fan-out O(affected VCs). Pathfinding expands
-// neighbours in deterministic switch-id (insertion) order, so equal-length
-// paths tie-break identically across runs — cached routes inherit that
-// determinism (the cache only memoises what the deterministic BFS returns).
+// Admission-plane fast path: routes come from one cached shortest-path tree
+// per source switch, invalidated by a topology epoch; the reservation ledger
+// is a flat vector indexed by dense link id, and a per-link -> VC index makes
+// congestion fan-out O(affected VCs). The first resolve from a switch in an
+// epoch runs one full BFS and keeps an int32 parent per switch (4 bytes x
+// switches, allocated only for switches that resolve); later resolves walk
+// the parent chain. The BFS expands neighbours in switch-id (insertion)
+// order and fixes a parent when a switch is first discovered, so the chain
+// to any destination is exactly the path an early-exit BFS to it returns:
+// equal-length paths tie-break identically across runs, heap layouts and
+// cache states.
 #ifndef PEGASUS_SRC_ATM_NETWORK_H_
 #define PEGASUS_SRC_ATM_NETWORK_H_
 
@@ -24,7 +28,6 @@
 #include <set>
 #include <string>
 #include <utility>
-#include <unordered_map>
 #include <vector>
 
 #include "src/atm/cell.h"
@@ -104,9 +107,14 @@ class Network {
   void ConnectSwitches(Switch* a, int port_a, Switch* b, int port_b, int64_t link_bps,
                        sim::DurationNs propagation = sim::Microseconds(5));
 
-  // Monotone counter bumped by every topology mutation; cached routes carry
-  // the epoch they were resolved under and are dropped on mismatch.
+  // Monotone counter bumped by every topology mutation; cached route trees
+  // carry the epoch they were built under and are rebuilt on mismatch.
   uint64_t topology_epoch() const { return topology_epoch_; }
+  // Switch-to-switch route resolutions served, and the BFS route trees built
+  // to serve them (at most one per source switch per epoch). Deterministic;
+  // 1 - trees/resolves is the route-cache hit rate.
+  int64_t route_resolves() const { return route_resolves_; }
+  int64_t route_trees_built() const { return route_trees_built_; }
 
   // --- Signalling ---
   // Establishes a unidirectional VC from `src` to `dst`. Returns nullopt when
@@ -128,9 +136,9 @@ class Network {
 
   // --- point-to-multipoint signalling ---
   // Establishes a one-to-many VC: a shared delivery tree from `src` to every
-  // sink, built as the union of the deterministic cached routes (BFS from one
-  // source always assigns the same parent per switch, so the union IS a tree
-  // and insertion-id tie-breaks carry over). Cells the source stamps with
+  // sink, built as the union of the routes in the source switch's cached BFS
+  // tree (one parent per switch, so the union IS a tree and insertion-id
+  // tie-breaks carry over). Cells the source stamps with
   // `source_vci` are replicated once per tree BRANCH at each switch; the
   // reservation is charged once per tree edge, however many leaves share it.
   // All-or-nothing: any unattached/unreachable/duplicate sink rejects the
@@ -282,49 +290,30 @@ class Network {
     Link* to_switch = nullptr;    // carries cells toward the switch
     Link* from_switch = nullptr;  // carries cells away from the switch
   };
-  // One directed switch-to-switch wire, as seen from its source switch.
+  // One directed switch-to-switch wire, as seen from its source switch. It
+  // is a whole route hop: VC installation reads both ports from this entry.
   struct Edge {
     int to_id = -1;
     Switch* to = nullptr;
-    int out_port = -1;
+    int out_port = -1;  // on the source switch
+    int in_port = -1;   // on `to`, where the wire lands
     Link* link = nullptr;
   };
-  // One inter-switch hop of a cached path: the wire out of the current
-  // switch plus the input port it lands on — everything VC installation
-  // needs without re-querying the adjacency.
-  struct CachedHop {
-    Switch* next = nullptr;
-    int out_port = -1;        // on the current switch
-    Link* link = nullptr;     // current -> next
-    int next_in_port = -1;    // input port on `next` (the reverse wire's port)
-  };
-  struct CachedPath {
+  // BFS tree from one source switch: parent switch id per switch (-1 when
+  // unreached, the source is its own parent), valid while `epoch` matches.
+  struct RouteTree {
     uint64_t epoch = 0;
-    bool reachable = false;
-    Switch* first = nullptr;
-    std::vector<CachedHop> hops;
-    // Sum of propagation + cell serialisation over the hop links (the
-    // endpoint attachment links are added per resolve).
-    sim::DurationNs links_latency = 0;
+    std::vector<int32_t> parent;
   };
 
-  // Cached deterministic-BFS path between two switches; recomputed (and the
-  // entry overwritten, including negative "unreachable" results) when the
-  // stored epoch is stale. Never returns nullptr; check ->reachable.
-  const CachedPath* ResolvePath(Switch* from, Switch* to) const;
-  // Runs the BFS and fills `out` (epoch + reachability + hops + latency).
-  void ComputePath(Switch* from, Switch* to, CachedPath* out) const;
-  // The directed edge from `a` to `b`, or nullptr when not adjacent.
-  const Edge* FindEdge(const Switch* a, const Switch* b) const;
+  // The edges from `from` to `to` in order (empty when from == to), walked
+  // from from's route tree, which is (re)built first when its epoch is stale.
+  // nullptr when unreachable. Points at scratch storage valid until the next
+  // call.
+  const std::vector<const Edge*>* SwitchPath(const Switch* from, const Switch* to) const;
   // Registers a freshly created link: assigns its dense id and grows the
   // flat ledgers.
   Link* RegisterLink(std::unique_ptr<Link> link);
-  // Shared tail of both OpenVc flavours: admission over `hop_links`, then
-  // route installation along the cached path.
-  std::optional<VcDescriptor> OpenVcAlongPath(Endpoint* src, Endpoint* dst, QosSpec qos,
-                                              const Attachment& src_at, const Attachment& dst_at,
-                                              const CachedPath& path,
-                                              std::vector<Link*> hop_links);
   // Dry-runs grafting `leaf` onto tree `m` extended by the not-yet-committed
   // branches/nodes in `planned_*` (accumulated across the sinks of one open):
   // appends the links the graft would newly add to `new_links` and extends
@@ -358,8 +347,11 @@ class Network {
   // Adjacency indexed by switch id; each row sorted by neighbour id so BFS
   // expansion order is the insertion order of switches, not heap addresses.
   std::vector<std::vector<Edge>> adjacency_;
-  // (src switch id << 32 | dst switch id) -> cached path.
-  mutable std::unordered_map<uint64_t, CachedPath> route_cache_;
+  // Route trees indexed by source switch id, grown on first resolve.
+  mutable std::vector<RouteTree> route_trees_;
+  mutable std::vector<const Edge*> path_scratch_;
+  mutable int64_t route_resolves_ = 0;
+  mutable int64_t route_trees_built_ = 0;
   uint64_t topology_epoch_ = 0;
   std::map<VcId, VcState> vcs_;
   // Tree bookkeeping for multicast VCs, same key space as vcs_.

@@ -319,8 +319,8 @@ void PegasusFileServer::WriteSegmentOf(FileType type, std::vector<OpenBlock> blo
     }
     // Data is durable once both the segment and the checkpoint that
     // references it are on disk; only then do clients learn about it.
-    WriteCheckpoint([this, placed, release]() {
-      if (durable_cb_) {
+    WriteCheckpoint([this, placed, release](bool adopted) {
+      if (adopted && durable_cb_) {
         for (const Placed& p : placed) {
           durable_cb_(p.file, p.block * config_.block_size, config_.block_size);
         }
@@ -331,7 +331,7 @@ void PegasusFileServer::WriteSegmentOf(FileType type, std::vector<OpenBlock> blo
   });
 }
 
-void PegasusFileServer::WriteCheckpoint(std::function<void()> done) {
+void PegasusFileServer::WriteCheckpoint(std::function<void(bool adopted)> done) {
   // Checkpoints coalesce: while one image is being written, further requests
   // wait and are satisfied together by the next (single) checkpoint, which
   // by then covers their metadata too.
@@ -346,7 +346,7 @@ void PegasusFileServer::WriteCheckpoint(std::function<void()> done) {
 void PegasusFileServer::StartCheckpoint() {
   checkpoint_in_flight_ = true;
   checkpoint_dirty_ = false;
-  std::vector<std::function<void()>> waiters;
+  std::vector<std::function<void(bool)>> waiters;
   waiters.swap(checkpoint_waiters_);
   std::vector<uint8_t> image = meta_.Serialize();
   const uint64_t epoch = epoch_;
@@ -356,12 +356,15 @@ void PegasusFileServer::StartCheckpoint() {
       ckpt_offset, image,
       /*realtime=*/false,
       [this, epoch, image, waiters = std::move(waiters)](bool ok) {
-        if (epoch == epoch_ && ok) {
+        // An image written across a Crash() (or not written at all) is never
+        // what Recover restores, so its waiters must not report durability.
+        const bool adopted = epoch == epoch_ && ok;
+        if (adopted) {
           durable_meta_image_ = image;
           ++checkpoints_;
         }
         for (const auto& w : waiters) {
-          w();
+          w(adopted);
         }
         if (epoch != epoch_) {
           return;  // a crash reset the checkpoint machinery
@@ -645,7 +648,7 @@ void PegasusFileServer::CleanSegments(std::vector<int64_t> victims, size_t garba
       // Done: drop the processed prefix of the garbage file ("the portion of
       // the garbage file before the marker is deleted") and checkpoint.
       meta_.TruncateGarbage(state->marker);
-      WriteCheckpoint([state, this]() {
+      WriteCheckpoint([state, this](bool) {
         state->stats.wall_time = sim_->now() - state->started_at;
         state->callback(state->stats);
       });

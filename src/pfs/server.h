@@ -161,7 +161,11 @@ class PegasusFileServer {
   void Sync(std::function<void()> callback);
   // Writes a metadata checkpoint without flushing data; used to make
   // metadata-only changes (file creation, deletion) durable immediately.
-  void Checkpoint(std::function<void()> callback) { WriteCheckpoint(std::move(callback)); }
+  // `callback` learns whether the image was adopted: false when the write
+  // failed or a Crash() intervened, so the changes are not durable.
+  void Checkpoint(std::function<void(bool durable)> callback) {
+    WriteCheckpoint(std::move(callback));
+  }
   // Registered observer learns when written ranges become durable (the
   // client agent uses this to release its safety copies).
   void SetDurableCallback(DurableCallback callback) { durable_cb_ = std::move(callback); }
@@ -272,7 +276,9 @@ class PegasusFileServer {
   void PackAndWrite(FileType type, std::vector<OpenBlock> blocks, std::function<void()> done);
   // Writes one segment's worth of blocks (<= segment_size / block_size).
   void WriteSegmentOf(FileType type, std::vector<OpenBlock> blocks, std::function<void()> done);
-  void WriteCheckpoint(std::function<void()> done);
+  // Queues `done` on the next checkpoint; it runs when that image's write
+  // completes, told whether the image was adopted as the durable one.
+  void WriteCheckpoint(std::function<void(bool adopted)> done);
   void StartCheckpoint();
   void MaybeFinishSync();
   void DoRead(FileId file, int64_t offset, int64_t len, bool realtime, ReadCallback callback);
@@ -300,7 +306,7 @@ class PegasusFileServer {
   std::vector<std::function<void()>> sync_waiters_;
   bool checkpoint_in_flight_ = false;
   bool checkpoint_dirty_ = false;
-  std::vector<std::function<void()>> checkpoint_waiters_;
+  std::vector<std::function<void(bool)>> checkpoint_waiters_;
 
   int64_t segments_written_ = 0;
   int64_t partial_padding_ = 0;

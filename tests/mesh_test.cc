@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <set>
 
 #include "src/atm/network.h"
 #include "src/core/compute_node.h"
@@ -321,6 +323,221 @@ TEST(RouteCache, TopologyMutationInvalidatesWarmRoutes) {
   EXPECT_EQ(vc_links->size(), 3u);
   EXPECT_EQ((*vc_links)[1]->name(), "sw1->sw3");
   EXPECT_EQ(vc->hop_count, 2);
+}
+
+// --- per-source route trees: one BFS serves every resolve from a switch
+// until the topology changes ---
+TEST(RouteCache, OneTreePerSourceUntilTopologyMutates) {
+  sim::Simulator sim;
+  atm::Network net(&sim);
+  std::vector<atm::Switch*> sw;
+  std::vector<atm::Endpoint*> ep;
+  for (int i = 0; i < 4; ++i) {
+    sw.push_back(net.AddSwitch("sw" + std::to_string(i), 8));
+    ep.push_back(net.AddEndpoint("h" + std::to_string(i), sw.back(), 0, 155'000'000));
+  }
+  for (int i = 0; i + 1 < 4; ++i) {
+    net.ConnectSwitches(sw[i], 1, sw[i + 1], 2, 155'000'000);
+  }
+  EXPECT_EQ(net.route_trees_built(), 0);
+
+  // Every resolve from sw0 — to any destination, repeated — walks one tree.
+  for (int round = 0; round < 5; ++round) {
+    for (int d = 1; d < 4; ++d) {
+      ASSERT_TRUE(net.ResolveRoute(ep[0], ep[d]).has_value());
+    }
+  }
+  EXPECT_EQ(net.route_resolves(), 15);
+  EXPECT_EQ(net.route_trees_built(), 1);
+  // A second source gets its own tree; the first stays warm.
+  ASSERT_TRUE(net.ResolveRoute(ep[3], ep[0]).has_value());
+  ASSERT_TRUE(net.ResolveRoute(ep[0], ep[3]).has_value());
+  EXPECT_EQ(net.route_trees_built(), 2);
+
+  // Each kind of topology mutation forces the next resolve to rebuild.
+  int64_t built = net.route_trees_built();
+  atm::Switch* extra = net.AddSwitch("extra", 8);
+  ASSERT_TRUE(net.ResolveRoute(ep[0], ep[2]).has_value());
+  EXPECT_EQ(net.route_trees_built(), ++built);
+  net.ConnectSwitches(sw[3], 3, extra, 1, 155'000'000);
+  ASSERT_TRUE(net.ResolveRoute(ep[0], ep[2]).has_value());
+  EXPECT_EQ(net.route_trees_built(), ++built);
+  atm::Endpoint* far = net.AddEndpoint("far", extra, 0, 155'000'000);
+  auto route = net.ResolveRoute(ep[0], far);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->links.size(), 6u);
+  EXPECT_EQ(net.route_trees_built(), ++built);
+  // OpenVc and multicast grafts resolve from the same warm trees.
+  ASSERT_TRUE(net.OpenVc(ep[0], ep[1]).has_value());
+  ASSERT_TRUE(net.OpenMulticastVc(ep[0], {ep[2], ep[3], far}).has_value());
+  EXPECT_EQ(net.route_trees_built(), built);
+}
+
+// --- route equivalence: per-source trees against an early-exit BFS written
+// here, over random meshes full of equal-cost ties ---
+
+// One directed wire as the test wired it: the far switch, the port it
+// leaves by and the port it lands on.
+struct Wire {
+  int to;
+  int out_port;
+  int in_port;
+};
+using Wiring = std::vector<std::vector<Wire>>;
+
+// Switch ids from `from` to `to` by a BFS that stops at `to` and expands
+// neighbours in switch-id order; empty when unreachable.
+std::vector<int> ReferenceRoute(const Wiring& wiring, int from, int to) {
+  std::vector<int> parent(wiring.size(), -1);
+  std::vector<int> queue{from};
+  parent[static_cast<size_t>(from)] = from;
+  for (size_t head = 0; head < queue.size() && queue[head] != to; ++head) {
+    std::vector<Wire> row = wiring[static_cast<size_t>(queue[head])];
+    std::sort(row.begin(), row.end(), [](const Wire& a, const Wire& b) { return a.to < b.to; });
+    for (const Wire& w : row) {
+      if (parent[static_cast<size_t>(w.to)] < 0) {
+        parent[static_cast<size_t>(w.to)] = queue[head];
+        queue.push_back(w.to);
+      }
+    }
+  }
+  if (parent[static_cast<size_t>(to)] < 0) {
+    return {};
+  }
+  std::vector<int> route{to};
+  while (route.back() != from) {
+    route.push_back(parent[static_cast<size_t>(route.back())]);
+  }
+  std::reverse(route.begin(), route.end());
+  return route;
+}
+
+class RandomMesh {
+ public:
+  RandomMesh() : net_(&sim_) {}
+
+  void AddSwitch() {
+    const int i = static_cast<int>(sw_.size());
+    sw_.push_back(net_.AddSwitch("sw" + std::to_string(i), 16));
+    ep_.push_back(net_.AddEndpoint("h" + std::to_string(i), sw_.back(), 0, 155'000'000));
+    next_port_.push_back(1);
+    wiring_.emplace_back();
+  }
+  // Wires a -- b on each side's next free port; false for a repeated pair or
+  // a full switch.
+  bool Connect(int a, int b) {
+    const auto key = std::minmax(a, b);
+    if (a == b || next_port_[a] == 16 || next_port_[b] == 16 || !pairs_.insert(key).second) {
+      return false;
+    }
+    const int pa = next_port_[a]++;
+    const int pb = next_port_[b]++;
+    net_.ConnectSwitches(sw_[a], pa, sw_[b], pb, 155'000'000);
+    wiring_[a].push_back(Wire{b, pa, pb});
+    wiring_[b].push_back(Wire{a, pb, pa});
+    return true;
+  }
+
+  // Every ordered switch pair resolves exactly as the reference BFS routes
+  // it: the same switches, leaving by the same out ports over the same
+  // links and landing on the same input ports. A VC installed over each
+  // route then carries one cell end to end, which it only does when every
+  // hop's route entry sits on the input port the wire really lands on.
+  void ExpectAllPairsMatchReference() {
+    const int n = static_cast<int>(sw_.size());
+    std::vector<atm::VcId> vcs;
+    std::vector<uint64_t> expected_cells(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      expected_cells[static_cast<size_t>(i)] = ep_[i]->cells_received();
+    }
+    for (int from = 0; from < n; ++from) {
+      for (int to = 0; to < n; ++to) {
+        SCOPED_TRACE("sw" + std::to_string(from) + " -> sw" + std::to_string(to));
+        const std::vector<int> expected = ReferenceRoute(wiring_, from, to);
+        const auto route = net_.ResolveRoute(ep_[from], ep_[to]);
+        if (expected.empty()) {
+          EXPECT_FALSE(route.has_value());
+          continue;
+        }
+        ASSERT_TRUE(route.has_value());
+        ASSERT_EQ(route->links.size(), expected.size() + 1);
+        for (size_t i = 0; i + 1 < expected.size(); ++i) {
+          const int u = expected[i];
+          const int v = expected[i + 1];
+          const auto& row = wiring_[static_cast<size_t>(u)];
+          const auto wire = std::find_if(row.begin(), row.end(),
+                                         [v](const Wire& w) { return w.to == v; });
+          ASSERT_NE(wire, row.end());
+          const atm::Link* link = route->links[i + 1];
+          EXPECT_EQ(link, sw_[u]->output(wire->out_port));
+          EXPECT_EQ(link->sink(), sw_[v]->input(wire->in_port));
+        }
+        const auto vc = net_.OpenVc(ep_[from], ep_[to]);
+        ASSERT_TRUE(vc.has_value());
+        EXPECT_EQ(*net_.VcLinks(vc->id), route->links);
+        EXPECT_EQ(vc->hop_count, static_cast<int>(expected.size()));
+        atm::Cell cell;
+        cell.vci = vc->source_vci;
+        ASSERT_TRUE(ep_[from]->SendCell(cell));
+        ++expected_cells[static_cast<size_t>(to)];
+        vcs.push_back(vc->id);
+      }
+    }
+    sim_.RunUntil(sim_.now() + Milliseconds(100));
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(ep_[i]->cells_received(), expected_cells[static_cast<size_t>(i)]) << "h" << i;
+      EXPECT_EQ(sw_[i]->cells_unroutable(), 0u) << "sw" << i;
+    }
+    for (atm::VcId id : vcs) {
+      net_.CloseVc(id);
+    }
+  }
+
+  int size() const { return static_cast<int>(sw_.size()); }
+  const atm::Network& net() const { return net_; }
+
+ private:
+  sim::Simulator sim_;
+  atm::Network net_;
+  std::vector<atm::Switch*> sw_;
+  std::vector<atm::Endpoint*> ep_;
+  std::vector<int> next_port_;
+  Wiring wiring_;
+  std::set<std::pair<int, int>> pairs_;
+};
+
+TEST(RouteCache, PerSourceTreesMatchEarlyExitBfsOnRandomMeshes) {
+  constexpr int kMain = 24;
+  constexpr int kIsland = 5;
+  for (uint32_t seed : {1u, 7u, 42u, 1234u, 99991u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    RandomMesh mesh;
+    for (int i = 0; i < kMain + kIsland; ++i) {
+      mesh.AddSwitch();
+    }
+    // A sparse random main component (three wires per switch on average)
+    // wired in random order: equal-length alternatives abound, and wiring
+    // order never matches switch-id order.
+    std::uniform_int_distribution<int> pick(0, kMain - 1);
+    for (int wired = 0; wired < kMain * 3 / 2;) {
+      wired += mesh.Connect(pick(rng), pick(rng)) ? 1 : 0;
+    }
+    // A ring of switches no main-component switch can reach.
+    for (int i = 0; i < kIsland; ++i) {
+      mesh.Connect(kMain + i, kMain + (i + 1) % kIsland);
+    }
+    mesh.ExpectAllPairsMatchReference();
+    EXPECT_EQ(mesh.net().route_trees_built(), mesh.size());
+    // Warm: the same pairs again build nothing.
+    mesh.ExpectAllPairsMatchReference();
+    EXPECT_EQ(mesh.net().route_trees_built(), mesh.size());
+
+    // Join the island: every warm tree is rebuilt and still matches.
+    ASSERT_TRUE(mesh.Connect(pick(rng), kMain + 2));
+    mesh.ExpectAllPairsMatchReference();
+    EXPECT_EQ(mesh.net().route_trees_built(), 2 * mesh.size());
+  }
 }
 
 // --- rejection-cause accounting: no-path and unattached-endpoint failures

@@ -66,7 +66,7 @@ class ServerFixture : public ::testing::Test {
 
   void CheckpointSync() {
     bool done = false;
-    server_.Checkpoint([&]() { done = true; });
+    server_.Checkpoint([&](bool) { done = true; });
     sim_.RunUntilPredicate([&]() { return done; });
   }
 
@@ -300,6 +300,45 @@ TEST_F(ServerFixture, CrashLosesBufferedDataKeepsDurable) {
   auto [ok2, got2] = ReadSync(f, 8192, 8192);
   EXPECT_TRUE(ok2);
   EXPECT_EQ(got2, std::vector<uint8_t>(8192, 0));  // buffered data lost
+}
+
+// A crash while a checkpoint write is in flight discards that image, so the
+// blocks it would have made durable must never be reported durable: Recover
+// restores the older image, and a client trusting the report would already
+// have dropped its safety copy.
+TEST_F(ServerFixture, CrashDuringCheckpointWriteReportsNothingDurable) {
+  struct Report {
+    FileId file;
+    int64_t offset;
+  };
+  std::vector<Report> durable;
+  server_.SetDurableCallback([&](FileId file, int64_t offset, int64_t) {
+    durable.push_back({file, offset});
+  });
+  FileId f = server_.CreateFile(FileType::kNormal);
+  CheckpointSync();
+  EXPECT_TRUE(WriteSync(f, 0, Pattern(8192, 1)));
+  SyncAll();
+  ASSERT_EQ(durable.size(), 1u);
+
+  EXPECT_TRUE(WriteSync(f, 8192, Pattern(8192, 2)));
+  server_.Sync([]() {});
+  // The segment write completing is what issues the checkpoint write; crash
+  // right after, with that checkpoint still on its way to disk.
+  const int64_t segments = server_.segments_written();
+  sim_.RunUntilPredicate([&]() { return server_.segments_written() > segments; });
+  server_.Crash();
+  sim_.RunUntil(sim_.now() + Seconds(1));
+  EXPECT_EQ(durable.size(), 1u) << "a block was reported durable by a discarded checkpoint";
+
+  bool recovered = false;
+  server_.Recover([&](bool ok) { recovered = ok; });
+  sim_.RunUntilPredicate([&]() { return recovered; });
+  for (const Report& r : durable) {
+    auto [ok, got] = ReadSync(r.file, r.offset, 8192);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(got, Pattern(8192, static_cast<uint8_t>(1 + r.offset / 8192)));
+  }
 }
 
 TEST_F(ServerFixture, PowerFailureWithUpsFlushesBuffers) {
