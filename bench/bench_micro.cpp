@@ -11,6 +11,7 @@
 #include "src/atm/aal5.h"
 #include "src/atm/crc32.h"
 #include "src/atm/link.h"
+#include "src/atm/network.h"
 #include "src/atm/switch.h"
 #include "src/devices/compression.h"
 #include "src/devices/frame_source.h"
@@ -91,6 +92,71 @@ void BM_SwitchForward(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(seq), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SwitchForward)->Arg(1)->Arg(64)->Arg(256);
+
+// The admission layer's unit of work: open a reserved unicast VC (a
+// one-leaf tree) across a chain of range(0) switches, then close it. Each
+// iteration resolves the warm route tree, admits and charges every link,
+// installs one route entry per switch and releases it all again.
+void BM_NetworkOpenCloseVc(benchmark::State& state) {
+  const int kSwitches = static_cast<int>(state.range(0));
+  sim::Simulator sim;
+  atm::Network net(&sim);
+  std::vector<atm::Switch*> chain;
+  for (int i = 0; i < kSwitches; ++i) {
+    chain.push_back(net.AddSwitch("sw" + std::to_string(i), 4));
+    if (i > 0) {
+      net.ConnectSwitches(chain[static_cast<size_t>(i) - 1], 1, chain.back(), 2, 622'000'000);
+    }
+  }
+  atm::Endpoint* src = net.AddEndpoint("src", chain.front(), 0, 155'000'000);
+  atm::Endpoint* dst = net.AddEndpoint("dst", chain.back(), 0, 155'000'000);
+  for (auto _ : state) {
+    auto vc = net.OpenVc(src, dst, atm::QosSpec{2'000'000});
+    benchmark::DoNotOptimize(vc);
+    net.CloseVc(vc->id);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NetworkOpenCloseVc)->Arg(2)->Arg(8);
+
+// Late join and leave on a broadcast tree: a root switch fans out to 16
+// edge switches of 8 hosts each; the tree already reaches range(0) hosts
+// spread over the edges. Each iteration grafts one more host (a new branch
+// on an edge the tree already crosses) and prunes it again.
+void BM_NetworkGraftPrune(benchmark::State& state) {
+  constexpr int kEdges = 16;
+  constexpr int kHostsPerEdge = 8;
+  const int kLeaves = static_cast<int>(state.range(0));
+  sim::Simulator sim;
+  atm::Network net(&sim);
+  atm::Switch* root = net.AddSwitch("root", kEdges + 1);
+  atm::Endpoint* head = net.AddEndpoint("head", root, kEdges, 622'000'000);
+  std::vector<atm::Endpoint*> hosts;
+  for (int e = 0; e < kEdges; ++e) {
+    atm::Switch* edge = net.AddSwitch("edge" + std::to_string(e), kHostsPerEdge + 1);
+    net.ConnectSwitches(root, e, edge, kHostsPerEdge, 622'000'000);
+    for (int h = 0; h < kHostsPerEdge; ++h) {
+      hosts.push_back(net.AddEndpoint("h" + std::to_string(e) + "." + std::to_string(h), edge,
+                                      h, 155'000'000));
+    }
+  }
+  // Leaves take the first hosts of every edge in turn; the joiner is the
+  // last host of the last edge, which the tree never otherwise reaches.
+  std::vector<atm::Endpoint*> leaves;
+  for (int i = 0; i < kLeaves; ++i) {
+    const int edge = i % kEdges;
+    const int host = i / kEdges;
+    leaves.push_back(hosts[static_cast<size_t>(edge * kHostsPerEdge + host)]);
+  }
+  atm::Endpoint* joiner = hosts.back();
+  auto tree = net.OpenMulticastVc(head, leaves, atm::QosSpec{2'000'000});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.AddLeaf(tree->id, joiner));
+    net.RemoveLeaf(tree->id, joiner);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NetworkGraftPrune)->Arg(1)->Arg(64);
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));

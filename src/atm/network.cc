@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace pegasus::atm {
 
@@ -177,15 +176,6 @@ std::optional<ResolvedRoute> Network::ResolveRoute(const Endpoint* src,
   return route;
 }
 
-std::optional<std::vector<Link*>> Network::PathLinks(const Endpoint* src,
-                                                     const Endpoint* dst) const {
-  auto route = ResolveRoute(src, dst);
-  if (!route.has_value()) {
-    return std::nullopt;
-  }
-  return std::move(route->links);
-}
-
 const std::vector<Link*>* Network::VcLinks(VcId id) const {
   auto it = vcs_.find(id);
   return it == vcs_.end() ? nullptr : &it->second.hop_links;
@@ -200,109 +190,14 @@ const std::vector<VcId>& Network::VcsOnLink(const Link* link) const {
   return link_vcs_[static_cast<size_t>(id)];
 }
 
-std::optional<int64_t> Network::PathAvailableBps(const Endpoint* src, const Endpoint* dst) const {
-  auto route = ResolveRoute(src, dst);
-  if (!route.has_value()) {
-    return std::nullopt;
-  }
-  int64_t available = std::numeric_limits<int64_t>::max();
-  for (const Link* l : route->links) {
-    available = std::min(available, AvailableBandwidth(l));
-  }
-  return std::max<int64_t>(available, 0);
-}
-
-std::optional<sim::DurationNs> Network::PathLatencyNs(const Endpoint* src,
-                                                      const Endpoint* dst) const {
-  auto route = ResolveRoute(src, dst);
-  if (!route.has_value()) {
-    return std::nullopt;
-  }
-  return route->latency_ns;
-}
-
 std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos) {
-  auto route = ResolveRoute(src, dst);
-  if (!route.has_value()) {
-    ++rejections_no_path_;
-    return std::nullopt;
-  }
-  return OpenVc(src, dst, qos, *route);
+  return OpenTree(src, &dst, 1, qos);
 }
 
-std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos,
-                                            const ResolvedRoute& route) {
-  if (route.epoch != topology_epoch_) {
-    // The topology moved under the caller's resolve; fall back to a fresh
-    // one — same semantics, just not the fast path.
-    return OpenVc(src, dst, qos);
-  }
-  auto src_it = endpoint_attachments_.find(src);
-  auto dst_it = endpoint_attachments_.find(dst);
-  if (src_it == endpoint_attachments_.end() || dst_it == endpoint_attachments_.end()) {
-    ++rejections_no_path_;
-    return std::nullopt;
-  }
-  const Attachment& src_at = src_it->second;
-  const Attachment& dst_at = dst_it->second;
-  const auto* hops = SwitchPath(src_at.sw, dst_at.sw);
-  if (hops == nullptr) {
-    ++rejections_no_path_;
-    return std::nullopt;
-  }
-  const std::vector<Link*>& hop_links = route.links;
-
-  // Admission control: the reservation must fit on every traversed link.
-  if (qos.peak_bps > 0) {
-    for (Link* l : hop_links) {
-      if (ReservedBps(l) + qos.peak_bps > l->bits_per_second()) {
-        ++rejections_bandwidth_;
-        return std::nullopt;
-      }
-    }
-  }
-
-  // Allocate per-hop VCIs and install routes.
-  VcState state;
-  const Vci dst_vci = dst->AllocateIncomingVci();
-  Vci in_vci = src_at.sw->AllocateVci(src_at.port);
-  const Vci source_vci = in_vci;
-  int in_port = src_at.port;
-  Switch* sw = src_at.sw;
-  for (const Edge* hop : *hops) {
-    // The VCI on the inter-switch link is whatever is free on the next
-    // switch's input port.
-    const Vci out_vci = hop->to->AllocateVci(hop->in_port);
-    sw->AddRoute(in_port, in_vci, hop->out_port, out_vci);
-    state.hops.push_back(HopRecord{sw, in_port, in_vci});
-    in_port = hop->in_port;
-    in_vci = out_vci;
-    sw = hop->to;
-  }
-  sw->AddRoute(in_port, in_vci, dst_at.port, dst_vci);
-  state.hops.push_back(HopRecord{sw, in_port, in_vci});
-
-  if (qos.peak_bps > 0) {
-    for (Link* l : hop_links) {
-      reserved_bps_[static_cast<size_t>(l->id())] += qos.peak_bps;
-    }
-  }
-
-  VcDescriptor desc;
-  desc.id = next_vc_id_++;
-  desc.source = src;
-  desc.destination = dst;
-  desc.source_vci = source_vci;
-  desc.destination_vci = dst_vci;
-  desc.qos = qos;
-  desc.hop_count = static_cast<int>(hops->size()) + 1;
-  for (Link* l : hop_links) {
-    link_vcs_[static_cast<size_t>(l->id())].push_back(desc.id);
-  }
-  state.hop_links = hop_links;
-  state.desc = desc;
-  vcs_[desc.id] = std::move(state);
-  return desc;
+std::optional<VcDescriptor> Network::OpenMulticastVc(Endpoint* src,
+                                                     const std::vector<Endpoint*>& sinks,
+                                                     QosSpec qos) {
+  return OpenTree(src, sinks.data(), sinks.size(), qos);
 }
 
 std::optional<std::pair<VcDescriptor, VcDescriptor>> Network::OpenDuplex(Endpoint* src,
@@ -321,86 +216,157 @@ std::optional<std::pair<VcDescriptor, VcDescriptor>> Network::OpenDuplex(Endpoin
   return std::make_pair(*data, *control);
 }
 
-bool Network::CloseVc(VcId id) {
-  auto it = vcs_.find(id);
-  if (it == vcs_.end()) {
-    return false;
+std::optional<VcDescriptor> Network::OpenTree(Endpoint* src, Endpoint* const* sinks,
+                                              size_t count, QosSpec qos) {
+  auto src_it = endpoint_attachments_.find(src);
+  if (count == 0 || src_it == endpoint_attachments_.end()) {
+    ++rejections_no_path_;
+    return std::nullopt;
   }
-  VcState& state = it->second;
-  auto mcast_it = mcast_.find(id);
-  if (mcast_it == mcast_.end()) {
-    for (const HopRecord& hop : state.hops) {
-      hop.sw->RemoveRoute(hop.in_port, hop.in_vci);
+  VcState state;
+  // The id is claimed only once every graft succeeded, so a refused open
+  // leaves the id sequence as it found it.
+  state.desc.id = next_vc_id_;
+  state.desc.source = src;
+  state.desc.qos = qos;
+  for (size_t i = 0; i < count; ++i) {
+    if (!Graft(state, src_it->second, sinks[i])) {
+      TearDown(state);
+      return std::nullopt;
     }
-    state.desc.destination->ReleaseIncomingVci(state.desc.destination_vci);
-  } else {
-    // A tree: retire each switch's whole entry (RemoveRoute drops every
-    // branch at once) and release EVERY leaf's incoming VCI, not just the
-    // descriptor's nominal destination.
-    McastState& m = mcast_it->second;
-    for (const auto& [sw_id, in] : m.node_in) {
-      switches_[static_cast<size_t>(sw_id)]->RemoveRoute(in.first, in.second);
-    }
-    for (const McastLeafRec& rec : m.leaves) {
-      rec.leaf->ReleaseIncomingVci(rec.leaf_vci);
-    }
-    mcast_.erase(mcast_it);
-  }
-  for (Link* l : state.hop_links) {
-    if (state.desc.qos.peak_bps > 0) {
-      reserved_bps_[static_cast<size_t>(l->id())] -= state.desc.qos.peak_bps;
-    }
-    auto& on_link = link_vcs_[static_cast<size_t>(l->id())];
-    auto pos = std::find(on_link.begin(), on_link.end(), id);
-    if (pos != on_link.end()) {
-      on_link.erase(pos);  // order-preserving: the index stays id-sorted
+    if (i == 0) {
+      state.desc.destination = sinks[0];
+      state.desc.destination_vci = state.nodes.back().vci;
     }
   }
-  congestion_handlers_.erase(id);
-  vcs_.erase(it);
-  return true;
+  ++next_vc_id_;
+  const VcDescriptor desc = state.desc;
+  vcs_.emplace_hint(vcs_.end(), desc.id, std::move(state));
+  return desc;
 }
 
-bool Network::PlanGraft(const McastState& m, Endpoint* leaf,
-                        std::set<std::pair<int, int>>* planned_branches,
-                        std::set<int>* planned_nodes, std::vector<Link*>* new_links) const {
+int Network::FindSwitchNode(VcState& state, int switch_id) {
+  auto& index = state.switch_index;
+  if (index.empty()) {
+    for (size_t i = 0; i < state.nodes.size(); ++i) {
+      if (state.nodes[i].sw != nullptr) {
+        index.emplace_back(state.nodes[i].sw->id(), static_cast<int>(i));
+      }
+    }
+    std::sort(index.begin(), index.end());
+  }
+  auto it = std::lower_bound(index.begin(), index.end(), switch_id,
+                             [](const std::pair<int, int>& e, int id) { return e.first < id; });
+  return it != index.end() && it->first == switch_id ? it->second : -1;
+}
+
+bool Network::Graft(VcState& state, const Attachment& src, Endpoint* leaf) {
   auto leaf_it = endpoint_attachments_.find(leaf);
-  if (leaf_it == endpoint_attachments_.end()) {
+  const bool fresh = state.nodes.empty();
+  const auto* hops =
+      leaf_it == endpoint_attachments_.end()
+          ? nullptr
+          : SwitchPath(fresh ? src.sw : state.nodes.front().sw, leaf_it->second.sw);
+  if (hops == nullptr) {
+    ++rejections_no_path_;
     return false;
   }
   const Attachment& leaf_at = leaf_it->second;
-  const auto* hops = SwitchPath(m.root, leaf_at.sw);
-  if (hops == nullptr) {
-    return false;
-  }
-  auto in_tree = [&](int sw_id) {
-    return m.node_in.count(sw_id) > 0 || planned_nodes->count(sw_id) > 0;
-  };
-  auto have_branch = [&](const std::pair<int, int>& key) {
-    return m.branches.count(key) > 0 || planned_branches->count(key) > 0;
-  };
-  const Switch* cur = m.root;
-  for (const Edge* hop : *hops) {
-    const std::pair<int, int> key{cur->id(), hop->out_port};
-    if (!have_branch(key)) {
-      if (in_tree(hop->to_id)) {
-        // The fresh path reaches a tree switch over a different edge than
-        // the tree's — grafting would give that switch two incoming edges
-        // (duplicate delivery). Only possible after a topology change.
-        return false;
+
+  // Check pass. The path runs down the tree to `attach`, the last tree
+  // switch on it; hops from `first_new` on are new edges. On a fresh tree
+  // every hop is new — a BFS path never revisits a switch — so the lookups
+  // are skipped.
+  int attach = 0;
+  size_t first_new = 0;
+  if (!fresh) {
+    auto refuse = [this]() {
+      ++rejections_no_path_;
+      return false;
+    };
+    for (; first_new < hops->size(); ++first_new) {
+      const Edge* hop = (*hops)[first_new];
+      const int n = FindSwitchNode(state, hop->to_id);
+      if (n < 0) {
+        break;
       }
-      planned_branches->insert(key);
-      planned_nodes->insert(hop->to_id);
-      new_links->push_back(hop->link);
+      if (state.nodes[static_cast<size_t>(n)].parent != attach ||
+          state.nodes[static_cast<size_t>(n)].in_port != hop->in_port) {
+        return refuse();  // reached over a second incoming edge
+      }
+      attach = n;
     }
-    cur = hop->to;
+    for (size_t j = first_new + 1; j < hops->size(); ++j) {
+      if (FindSwitchNode(state, (*hops)[j]->to_id) >= 0) {
+        return refuse();  // re-enters the tree over a second incoming edge
+      }
+    }
+    // A leaf hanging off an existing tree switch must not reuse a port that
+    // switch already branches to; a new switch has no branches yet.
+    const int leaf_parent = first_new == hops->size() ? attach : -1;
+    for (const TreeNode& node : state.nodes) {
+      if (node.leaf == leaf || (node.parent == leaf_parent && node.out_port == leaf_at.port)) {
+        return refuse();  // duplicate leaf, or its port already branches
+      }
+    }
   }
-  const std::pair<int, int> leaf_key{cur->id(), leaf_at.port};
-  if (have_branch(leaf_key)) {
-    return false;
+  // Admission on the new edges only: everything above `attach` is already
+  // reserved, and each edge carries ONE copy of the stream.
+  const int64_t bps = state.desc.qos.peak_bps;
+  if (bps > 0) {
+    auto fits = [this, bps](const Link* l) {
+      return ReservedBps(l) + bps <= l->bits_per_second();
+    };
+    bool ok = (!fresh || fits(src.to_switch)) && fits(leaf_at.from_switch);
+    for (size_t j = first_new; ok && j < hops->size(); ++j) {
+      ok = fits((*hops)[j]->link);
+    }
+    if (!ok) {
+      ++rejections_bandwidth_;
+      return false;
+    }
   }
-  planned_branches->insert(leaf_key);
-  new_links->push_back(leaf_at.from_switch);
+
+  // Commit pass: allocate VCIs, add route branches, charge the new edges.
+  auto add_branch = [&state](int parent, int out_port, Vci out_vci) {
+    const TreeNode& up = state.nodes[static_cast<size_t>(parent)];
+    if (up.sw->HasRoute(up.in_port, up.vci)) {
+      up.sw->AddRouteTarget(up.in_port, up.vci, out_port, out_vci);
+    } else {
+      up.sw->AddRoute(up.in_port, up.vci, out_port, out_vci);
+    }
+  };
+  if (fresh) {
+    state.desc.source_vci = src.sw->AllocateVci(src.port);
+    state.nodes.reserve(hops->size() + 2);
+    state.hop_links.reserve(hops->size() + 2);
+    state.nodes.push_back(
+        TreeNode{src.sw, nullptr, src.to_switch, -1, -1, src.port, state.desc.source_vci});
+    ChargeTreeLink(state, src.to_switch);
+    state.desc.hop_count = 1;
+  }
+  for (size_t j = first_new; j < hops->size(); ++j) {
+    const Edge* hop = (*hops)[j];
+    // The VCI on the inter-switch link is whatever is free on the next
+    // switch's input port.
+    const Vci vci = hop->to->AllocateVci(hop->in_port);
+    add_branch(attach, hop->out_port, vci);
+    state.nodes.push_back(
+        TreeNode{hop->to, nullptr, hop->link, attach, hop->out_port, hop->in_port, vci});
+    attach = static_cast<int>(state.nodes.size()) - 1;
+    ChargeTreeLink(state, hop->link);
+    if (!state.switch_index.empty()) {
+      const std::pair<int, int> entry{hop->to_id, attach};
+      auto& index = state.switch_index;
+      index.insert(std::lower_bound(index.begin(), index.end(), entry), entry);
+    }
+  }
+  state.desc.hop_count += static_cast<int>(hops->size() - first_new);
+  const Vci leaf_vci = leaf->AllocateIncomingVci();
+  add_branch(attach, leaf_at.port, leaf_vci);
+  state.nodes.push_back(
+      TreeNode{nullptr, leaf, leaf_at.from_switch, attach, leaf_at.port, -1, leaf_vci});
+  ChargeTreeLink(state, leaf_at.from_switch);
   return true;
 }
 
@@ -413,201 +379,125 @@ void Network::ChargeTreeLink(VcState& state, Link* link) {
   state.hop_links.push_back(link);
 }
 
-void Network::UnchargeTreeLink(VcState& state, Link* link) {
+void Network::UnchargeTreeLink(const VcState& state, const Link* link) {
   if (state.desc.qos.peak_bps > 0) {
     reserved_bps_[static_cast<size_t>(link->id())] -= state.desc.qos.peak_bps;
   }
   auto& on_link = link_vcs_[static_cast<size_t>(link->id())];
-  auto pos = std::find(on_link.begin(), on_link.end(), state.desc.id);
-  if (pos != on_link.end()) {
-    on_link.erase(pos);
-  }
-  auto lpos = std::find(state.hop_links.begin(), state.hop_links.end(), link);
-  if (lpos != state.hop_links.end()) {
-    state.hop_links.erase(lpos);
-  }
+  on_link.erase(std::lower_bound(on_link.begin(), on_link.end(), state.desc.id));
 }
 
-void Network::CommitGraft(VcState& state, McastState& m, Endpoint* leaf) {
-  const Attachment& leaf_at = endpoint_attachments_.at(leaf);
-  const auto* hops = SwitchPath(m.root, leaf_at.sw);
-  McastLeafRec rec;
-  rec.leaf = leaf;
-  auto add_branch = [&](Switch* sw, int out_port, Vci out_vci, Link* link, int next_switch_id) {
-    const auto& in = m.node_in.at(sw->id());
-    if (sw->HasRoute(in.first, in.second)) {
-      sw->AddRouteTarget(in.first, in.second, out_port, out_vci);
+void Network::TearDown(VcState& state) {
+  // Each switch's whole entry goes at once (RemoveRoute drops every branch),
+  // and every leaf's incoming VCI is released.
+  for (const TreeNode& node : state.nodes) {
+    if (node.sw != nullptr) {
+      node.sw->RemoveRoute(node.in_port, node.vci);
     } else {
-      sw->AddRoute(in.first, in.second, out_port, out_vci);
+      node.leaf->ReleaseIncomingVci(node.vci);
     }
-    m.branches[{sw->id(), out_port}] = McastBranch{out_vci, link, 0, next_switch_id};
-    ChargeTreeLink(state, link);
-  };
-  Switch* cur = m.root;
-  for (const Edge* hop : *hops) {
-    const std::pair<int, int> key{cur->id(), hop->out_port};
-    if (m.branches.count(key) == 0) {
-      const Vci out_vci = hop->to->AllocateVci(hop->in_port);
-      m.node_in[hop->to_id] = {hop->in_port, out_vci};
-      add_branch(cur, hop->out_port, out_vci, hop->link, hop->to_id);
-    }
-    ++m.branches.at(key).refs;
-    rec.branch_keys.push_back(key);
-    cur = hop->to;
   }
-  rec.leaf_vci = leaf->AllocateIncomingVci();
-  const std::pair<int, int> leaf_key{cur->id(), leaf_at.port};
-  add_branch(cur, leaf_at.port, rec.leaf_vci, leaf_at.from_switch, -1);
-  ++m.branches.at(leaf_key).refs;
-  rec.branch_keys.push_back(leaf_key);
-  m.leaves.push_back(std::move(rec));
+  for (const Link* l : state.hop_links) {
+    UnchargeTreeLink(state, l);
+  }
 }
 
-std::optional<VcDescriptor> Network::OpenMulticastVc(Endpoint* src,
-                                                     const std::vector<Endpoint*>& sinks,
-                                                     QosSpec qos) {
-  auto src_it = endpoint_attachments_.find(src);
-  if (sinks.empty() || src_it == endpoint_attachments_.end()) {
-    ++rejections_no_path_;
-    return std::nullopt;
+bool Network::CloseVc(VcId id) {
+  auto it = vcs_.find(id);
+  if (it == vcs_.end()) {
+    return false;
   }
-  const Attachment& src_at = src_it->second;
-  McastState m;
-  m.source = src;
-  m.root = src_at.sw;
-
-  // Dry pass: simulate every graft to learn the tree's distinct edges. Any
-  // bad sink rejects the whole open before a single route is touched.
-  std::set<std::pair<int, int>> planned_branches;
-  std::set<int> planned_nodes;
-  std::vector<Link*> union_links;
-  union_links.push_back(src_at.to_switch);
-  std::set<const Endpoint*> seen;
-  for (Endpoint* sink : sinks) {
-    if (sink == src || !seen.insert(sink).second ||
-        !PlanGraft(m, sink, &planned_branches, &planned_nodes, &union_links)) {
-      ++rejections_no_path_;
-      return std::nullopt;
-    }
-  }
-  // Admission: each tree edge carries ONE copy of the stream, so each is
-  // checked (and later charged) once, however many sinks ride it.
-  if (qos.peak_bps > 0) {
-    for (Link* l : union_links) {
-      if (ReservedBps(l) + qos.peak_bps > l->bits_per_second()) {
-        ++rejections_bandwidth_;
-        return std::nullopt;
-      }
-    }
-  }
-
-  VcState state;
-  state.desc.id = next_vc_id_++;
-  state.desc.source = src;
-  state.desc.qos = qos;
-  state.desc.source_vci = src_at.sw->AllocateVci(src_at.port);
-  m.node_in[src_at.sw->id()] = {src_at.port, state.desc.source_vci};
-  ChargeTreeLink(state, src_at.to_switch);
-  for (Endpoint* sink : sinks) {
-    CommitGraft(state, m, sink);
-  }
-  state.desc.destination = sinks.front();
-  state.desc.destination_vci = m.leaves.front().leaf_vci;
-  state.desc.hop_count = static_cast<int>(m.node_in.size());
-  const VcDescriptor desc = state.desc;
-  vcs_[desc.id] = std::move(state);
-  mcast_[desc.id] = std::move(m);
-  return desc;
+  TearDown(it->second);
+  congestion_handlers_.erase(id);
+  vcs_.erase(it);
+  return true;
 }
 
 std::optional<Vci> Network::AddLeaf(VcId id, Endpoint* leaf) {
-  auto mcast_it = mcast_.find(id);
-  if (mcast_it == mcast_.end()) {
+  auto it = vcs_.find(id);
+  if (it == vcs_.end()) {
     return std::nullopt;
   }
-  McastState& m = mcast_it->second;
-  if (leaf == m.source) {
+  VcState& state = it->second;
+  if (!Graft(state, endpoint_attachments_.at(state.desc.source), leaf)) {
     return std::nullopt;
   }
-  for (const McastLeafRec& rec : m.leaves) {
-    if (rec.leaf == leaf) {
-      return std::nullopt;
-    }
-  }
-  std::set<std::pair<int, int>> planned_branches;
-  std::set<int> planned_nodes;
-  std::vector<Link*> new_links;
-  if (!PlanGraft(m, leaf, &planned_branches, &planned_nodes, &new_links)) {
-    ++rejections_no_path_;
-    return std::nullopt;
-  }
-  VcState& state = vcs_.at(id);
-  // Late join: only the GRAFT path faces admission — everything upstream of
-  // the attach point is already reserved.
-  if (state.desc.qos.peak_bps > 0) {
-    for (Link* l : new_links) {
-      if (ReservedBps(l) + state.desc.qos.peak_bps > l->bits_per_second()) {
-        ++rejections_bandwidth_;
-        return std::nullopt;
-      }
-    }
-  }
-  CommitGraft(state, m, leaf);
-  state.desc.hop_count = static_cast<int>(m.node_in.size());
-  return m.leaves.back().leaf_vci;
+  return state.nodes.back().vci;
 }
 
 bool Network::RemoveLeaf(VcId id, Endpoint* leaf) {
-  auto mcast_it = mcast_.find(id);
-  if (mcast_it == mcast_.end()) {
+  auto it = vcs_.find(id);
+  if (it == vcs_.end()) {
     return false;
   }
-  McastState& m = mcast_it->second;
-  if (m.leaves.size() <= 1) {
+  VcState& state = it->second;
+  std::vector<TreeNode>& nodes = state.nodes;
+  if (static_cast<int>(nodes.size()) - state.desc.hop_count <= 1) {
     return false;  // the last leaf comes off via CloseVc
   }
-  auto rec_it = std::find_if(m.leaves.begin(), m.leaves.end(),
-                             [leaf](const McastLeafRec& r) { return r.leaf == leaf; });
-  if (rec_it == m.leaves.end()) {
+  auto leaf_it = std::find_if(nodes.begin(), nodes.end(),
+                              [leaf](const TreeNode& n) { return n.leaf == leaf; });
+  if (leaf_it == nodes.end()) {
     return false;
   }
-  VcState& state = vcs_.at(id);
-  // Prune bottom-up: the leaf-most branch always hits zero refs; upstream
-  // branches survive while any other leaf still rides them.
-  for (auto key_it = rec_it->branch_keys.rbegin(); key_it != rec_it->branch_keys.rend();
-       ++key_it) {
-    McastBranch& branch = m.branches.at(*key_it);
-    if (--branch.refs > 0) {
+  leaf->ReleaseIncomingVci(leaf_it->vci);
+  // Prune bottom-up along the parent links: the leaf's edge always goes,
+  // and each switch above it goes too once its entry has no branch left.
+  size_t n = static_cast<size_t>(leaf_it - nodes.begin());
+  do {
+    TreeNode& child = nodes[n];
+    const TreeNode& up = nodes[static_cast<size_t>(child.parent)];
+    up.sw->RemoveRouteTarget(up.in_port, up.vci, child.out_port);
+    UnchargeTreeLink(state, child.link);
+    state.hop_links.erase(std::find(state.hop_links.begin(), state.hop_links.end(), child.link));
+    child.link = nullptr;  // marks the vertex pruned
+    state.desc.hop_count -= child.sw != nullptr ? 1 : 0;
+    n = static_cast<size_t>(child.parent);
+  } while (!nodes[n].sw->HasRoute(nodes[n].in_port, nodes[n].vci));
+
+  // Compact the survivors in order; parents precede children, so each
+  // parent's new index is known when its children move.
+  std::vector<int> remap(nodes.size(), -1);
+  size_t kept = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].link == nullptr) {
       continue;
     }
-    const auto& in = m.node_in.at(key_it->first);
-    switches_[static_cast<size_t>(key_it->first)]->RemoveRouteTarget(in.first, in.second,
-                                                                     key_it->second);
-    UnchargeTreeLink(state, branch.link);
-    if (branch.next_switch_id >= 0) {
-      m.node_in.erase(branch.next_switch_id);
+    remap[i] = static_cast<int>(kept);
+    TreeNode node = nodes[i];
+    if (node.parent >= 0) {
+      node.parent = remap[static_cast<size_t>(node.parent)];
     }
-    m.branches.erase(*key_it);
+    nodes[kept++] = node;
   }
-  leaf->ReleaseIncomingVci(rec_it->leaf_vci);
-  m.leaves.erase(rec_it);
-  state.desc.hop_count = static_cast<int>(m.node_in.size());
+  nodes.resize(kept);
+  auto& index = state.switch_index;
+  index.erase(std::remove_if(index.begin(), index.end(),
+                             [&remap](const std::pair<int, int>& e) {
+                               return remap[static_cast<size_t>(e.second)] < 0;
+                             }),
+              index.end());
+  for (auto& entry : index) {
+    entry.second = remap[static_cast<size_t>(entry.second)];
+  }
   return true;
 }
 
 int Network::McastLeafCount(VcId id) const {
-  auto it = mcast_.find(id);
-  return it == mcast_.end() ? 0 : static_cast<int>(it->second.leaves.size());
+  auto it = vcs_.find(id);
+  return it == vcs_.end()
+             ? 0
+             : static_cast<int>(it->second.nodes.size()) - it->second.desc.hop_count;
 }
 
 std::optional<Vci> Network::McastLeafVci(VcId id, const Endpoint* leaf) const {
-  auto it = mcast_.find(id);
-  if (it == mcast_.end()) {
+  auto it = vcs_.find(id);
+  if (it == vcs_.end()) {
     return std::nullopt;
   }
-  for (const McastLeafRec& rec : it->second.leaves) {
-    if (rec.leaf == leaf) {
-      return rec.leaf_vci;
+  for (const TreeNode& node : it->second.nodes) {
+    if (node.leaf == leaf) {
+      return node.vci;
     }
   }
   return std::nullopt;

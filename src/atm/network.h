@@ -6,6 +6,13 @@
 // control, and the routing-table updates are exactly the operations a
 // device-managing workstation performs on its local switch.
 //
+// Every VC is a delivery tree rooted at the source's switch: a unicast VC is
+// the one-leaf case, so open, graft, prune, close, re-negotiation and
+// congestion fan-out each have exactly one body. A tree is built from the
+// source switch's cached BFS tree (one parent per switch), so the union of
+// its leaves' routes is itself a tree and every switch on it holds exactly
+// one route entry, branching once per distinct output port.
+//
 // Admission-plane fast path: routes come from one cached shortest-path tree
 // per source switch, invalidated by a topology epoch; the reservation ledger
 // is a flat vector indexed by dense link id, and a per-link -> VC index makes
@@ -25,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,8 +69,8 @@ struct VcDescriptor {
 
 // A resolved src->dst route: the ordered links a VC would traverse plus the
 // one-way latency floor, stamped with the topology epoch it was computed
-// under. One ResolveRoute serves a whole admission pass (bandwidth check,
-// latency check, VC install) instead of three BFS walks.
+// under. One ResolveRoute serves both the bandwidth and the latency check of
+// an admission pass.
 struct ResolvedRoute {
   std::vector<Link*> links;
   sim::DurationNs latency_ns = 0;
@@ -117,15 +123,10 @@ class Network {
   int64_t route_trees_built() const { return route_trees_built_; }
 
   // --- Signalling ---
-  // Establishes a unidirectional VC from `src` to `dst`. Returns nullopt when
-  // no path exists or admission control rejects the reservation.
+  // Establishes a unidirectional VC from `src` to `dst`: a one-leaf tree.
+  // Returns nullopt when no path exists or admission control rejects the
+  // reservation. `dst` may be `src` itself (a loopback through its switch).
   std::optional<VcDescriptor> OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos = {});
-  // As above, but reuses a route already resolved by ResolveRoute for this
-  // src/dst pair — the admission caller checks bandwidth and latency against
-  // the same resolve that installs the VC. A stale epoch falls back to a
-  // fresh resolve (semantics identical, just slower).
-  std::optional<VcDescriptor> OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos,
-                                     const ResolvedRoute& route);
   // Establishes a data VC plus a reverse control VC, as every Pegasus device
   // does (§2.2). first = forward/data, second = reverse/control.
   std::optional<std::pair<VcDescriptor, VcDescriptor>> OpenDuplex(Endpoint* src, Endpoint* dst,
@@ -135,29 +136,27 @@ class Network {
   const VcDescriptor* GetVc(VcId id) const;
 
   // --- point-to-multipoint signalling ---
-  // Establishes a one-to-many VC: a shared delivery tree from `src` to every
-  // sink, built as the union of the routes in the source switch's cached BFS
-  // tree (one parent per switch, so the union IS a tree and insertion-id
-  // tie-breaks carry over). Cells the source stamps with
-  // `source_vci` are replicated once per tree BRANCH at each switch; the
-  // reservation is charged once per tree edge, however many leaves share it.
-  // All-or-nothing: any unattached/unreachable/duplicate sink rejects the
-  // whole open. The returned descriptor's destination/destination_vci are the
-  // FIRST sink's (use McastLeafVci for the others).
+  // Establishes a one-to-many VC by grafting each sink in turn onto one
+  // tree. Cells the source stamps with `source_vci` are replicated once per
+  // tree BRANCH at each switch; the reservation is charged once per tree
+  // edge, however many leaves share it. All-or-nothing: an unattached,
+  // unreachable or duplicate sink, or a link without headroom, rolls the
+  // grafts made so far back and rejects the whole open. The returned
+  // descriptor's destination/destination_vci are the FIRST sink's (use
+  // McastLeafVci for the others).
   std::optional<VcDescriptor> OpenMulticastVc(Endpoint* src, const std::vector<Endpoint*>& sinks,
                                               QosSpec qos = {});
-  // Grafts a further leaf onto an open tree: admission is checked on (and the
+  // Grafts a further leaf onto an open VC: admission is checked on (and the
   // reservation charged for) only the links the graft newly adds. Returns the
   // leaf's incoming VCI, or nullopt on reject (unknown id, duplicate leaf,
   // no path, or insufficient bandwidth on the graft path).
   std::optional<Vci> AddLeaf(VcId id, Endpoint* leaf);
   // Prunes a leaf: branches no other leaf depends on are removed bottom-up,
   // their reservations released. Refuses to remove the LAST leaf — close the
-  // tree with CloseVc instead (a leafless tree would strand the source VCI).
+  // VC with CloseVc instead (a leafless tree would strand the source VCI).
   bool RemoveLeaf(VcId id, Endpoint* leaf);
-  bool IsMulticastVc(VcId id) const { return mcast_.count(id) > 0; }
   int McastLeafCount(VcId id) const;
-  // The incoming VCI `leaf` observes on an open tree, nullopt when the
+  // The incoming VCI `leaf` observes on an open VC, nullopt when the
   // endpoint is not currently a leaf.
   std::optional<Vci> McastLeafVci(VcId id, const Endpoint* leaf) const;
 
@@ -196,24 +195,15 @@ class Network {
   }
   // Resolves the route a VC from `src` to `dst` would take: ordered links
   // plus the one-way latency floor (propagation + one cell serialisation per
-  // link, queueing excluded), in one cached path lookup. nullopt when either
-  // endpoint is unattached or no path exists.
+  // link, queueing excluded), in one cached path lookup. Multi-leg admission
+  // does joint per-link accounting over these link sets, because two legs of
+  // one pipeline may share a directed link. nullopt when either endpoint is
+  // unattached or no path exists.
   std::optional<ResolvedRoute> ResolveRoute(const Endpoint* src, const Endpoint* dst) const;
-  // Smallest unreserved capacity over the links a VC from `src` to `dst`
-  // would traverse — the largest reservation the path can still admit.
-  // nullopt when either endpoint is unattached or no path exists.
-  std::optional<int64_t> PathAvailableBps(const Endpoint* src, const Endpoint* dst) const;
-  // The ordered links a VC from `src` to `dst` would traverse. Multi-leg
-  // admission does joint per-link accounting over these sets, because two
-  // legs of one pipeline may share a directed link. nullopt when either
-  // endpoint is unattached or no path exists.
-  std::optional<std::vector<Link*>> PathLinks(const Endpoint* src, const Endpoint* dst) const;
-  // The links an established VC traverses (its reservation applies to each),
-  // or nullptr for an unknown id. Valid until the VC is closed.
+  // The links an established VC traverses (its reservation applies to each,
+  // once), in the order its tree edges were added, or nullptr for an unknown
+  // id. Valid until the VC is next changed or closed.
   const std::vector<Link*>* VcLinks(VcId id) const;
-  // One-way delivery-time floor for a cell along src -> dst: propagation
-  // plus one cell serialisation per traversed link (queueing excluded).
-  std::optional<sim::DurationNs> PathLatencyNs(const Endpoint* src, const Endpoint* dst) const;
 
   int64_t open_vc_count() const { return static_cast<int64_t>(vcs_.size()); }
   // Admission refusals, split by cause: a reservation that did not fit
@@ -241,47 +231,31 @@ class Network {
   const std::vector<VcId>& VcsOnLink(const Link* link) const;
 
  private:
-  struct HopRecord {
-    Switch* sw;
-    int in_port;
-    Vci in_vci;
+  // One vertex of a VC's delivery tree: a switch holding the tree's route
+  // entry there, or a leaf endpoint. Every vertex but the root is fed by
+  // exactly one tree edge, `link`, out of its parent's switch; the root's
+  // `link` is the source's uplink. Each edge is charged once.
+  struct TreeNode {
+    Switch* sw = nullptr;      // null for a leaf
+    Endpoint* leaf = nullptr;  // null for a switch
+    Link* link = nullptr;
+    int parent = -1;    // index into VcState::nodes; -1 at the root
+    int out_port = -1;  // port on the parent's switch feeding this vertex
+    int in_port = -1;   // switch: input port of its route entry
+    Vci vci = kVciUnassigned;  // switch: entry's input VCI; leaf: incoming VCI
   };
   struct VcState {
     VcDescriptor desc;
-    std::vector<HopRecord> hops;
-    // Every link the VC traverses, in order; reservation bookkeeping applies
-    // desc.qos.peak_bps to each (nothing when best-effort). For a multicast
-    // tree this is the deduped set of tree edges — each charged ONCE — so
-    // UpdateVcQos and congestion fan-out work on trees unchanged.
+    // Graft order, parents before children; [0] is the root switch. A
+    // one-leaf VC is its path's switches followed by the leaf.
+    std::vector<TreeNode> nodes;
+    // Every link the VC traverses, in the order its edges were added;
+    // reservation bookkeeping applies desc.qos.peak_bps to each (nothing
+    // when best-effort).
     std::vector<Link*> hop_links;
-  };
-  // One tree edge out of a switch: the branch of that switch's route entry
-  // feeding either the next tree switch or a leaf endpoint.
-  struct McastBranch {
-    Vci out_vci = kVciUnassigned;
-    Link* link = nullptr;
-    int refs = 0;             // leaves downstream of this branch
-    int next_switch_id = -1;  // -1 when the branch feeds a leaf endpoint
-  };
-  struct McastLeafRec {
-    Endpoint* leaf = nullptr;
-    Vci leaf_vci = kVciUnassigned;
-    // The tree edges this leaf rides, root -> leaf; RemoveLeaf walks them in
-    // reverse decrementing refs, pruning each branch that hits zero.
-    std::vector<std::pair<int, int>> branch_keys;
-  };
-  // Control-plane view of one delivery tree, keyed alongside its VcState.
-  // Entries/branches live in the switches' route tables; this mirrors enough
-  // to graft and prune without re-deriving the tree from route-table scans.
-  struct McastState {
-    Endpoint* source = nullptr;
-    Switch* root = nullptr;
-    // switch id -> the tree's (in_port, in_vci) entry at that switch. Every
-    // tree switch has exactly one incoming edge (BFS-union property).
-    std::map<int, std::pair<int, Vci>> node_in;
-    // (switch id, out_port) -> branch. Distinct out ports by construction.
-    std::map<std::pair<int, int>, McastBranch> branches;
-    std::vector<McastLeafRec> leaves;  // graft order (deterministic)
+    // (switch id, node index) for every switch node, sorted by id. Built by
+    // the first graft onto a grown tree; a one-leaf VC never needs it.
+    std::vector<std::pair<int, int>> switch_index;
   };
   // Either a switch-to-switch edge or an endpoint attachment.
   struct Attachment {
@@ -314,24 +288,27 @@ class Network {
   // Registers a freshly created link: assigns its dense id and grows the
   // flat ledgers.
   Link* RegisterLink(std::unique_ptr<Link> link);
-  // Dry-runs grafting `leaf` onto tree `m` extended by the not-yet-committed
-  // branches/nodes in `planned_*` (accumulated across the sinks of one open):
-  // appends the links the graft would newly add to `new_links` and extends
-  // the planned sets. False when the leaf is unattached, unreachable, its
-  // port already carries a branch, or the fresh path would give an existing
-  // tree switch a second incoming edge (only possible after a topology
-  // change mid-tree-life).
-  bool PlanGraft(const McastState& m, Endpoint* leaf,
-                 std::set<std::pair<int, int>>* planned_branches, std::set<int>* planned_nodes,
-                 std::vector<Link*>* new_links) const;
-  // Installs the graft a successful PlanGraft described: allocates VCIs,
-  // adds route branches, charges the reservation on each NEW tree edge and
-  // bumps branch refcounts along the whole path. Must not fail.
-  void CommitGraft(VcState& state, McastState& m, Endpoint* leaf);
-  // Books a new tree edge: reservation, per-link VC index (sorted insert —
-  // a graft can add an old id after younger VCs reached the link), hop_links.
+  // The one tree open: a fresh VC grafted with each sink in turn, rolled
+  // back whole if any graft is refused.
+  std::optional<VcDescriptor> OpenTree(Endpoint* src, Endpoint* const* sinks, size_t count,
+                                       QosSpec qos);
+  // Grafts `leaf` onto `state` (an empty tree grows its root at `src` first).
+  // A check pass over the one resolved path finds where it leaves the tree
+  // and admits the new edges; only then does a commit pass allocate VCIs,
+  // add route branches and charge the reservation. False (with the refusal
+  // counted) leaves everything untouched: unattached or unreachable leaf, a
+  // duplicate leaf, a fresh path reaching a tree switch over a second
+  // incoming edge (only possible after a topology change), or no headroom.
+  bool Graft(VcState& state, const Attachment& src, Endpoint* leaf);
+  // Index of the switch node for `switch_id` in a grown tree, or -1.
+  static int FindSwitchNode(VcState& state, int switch_id);
+  // Books one tree edge: reservation, per-link VC index (sorted insert — a
+  // graft can add an old id after younger VCs reached the link), hop_links.
   void ChargeTreeLink(VcState& state, Link* link);
-  void UnchargeTreeLink(VcState& state, Link* link);
+  // Releases one edge's reservation and VC-index entry (not hop_links).
+  void UnchargeTreeLink(const VcState& state, const Link* link);
+  // Retires every route entry, leaf VCI and edge charge of `state`.
+  void TearDown(VcState& state);
 
   // Wires `link` as a shard-boundary channel when its two sides live on
   // different shards (no-op otherwise).
@@ -354,8 +331,6 @@ class Network {
   mutable int64_t route_trees_built_ = 0;
   uint64_t topology_epoch_ = 0;
   std::map<VcId, VcState> vcs_;
-  // Tree bookkeeping for multicast VCs, same key space as vcs_.
-  std::map<VcId, McastState> mcast_;
   std::map<VcId, CongestionCallback> congestion_handlers_;
   // Reserved bits/s per link, indexed by link id — AvailableBandwidth on the
   // admission walk is a load, not a map lookup.

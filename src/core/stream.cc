@@ -149,14 +149,13 @@ std::string JoinDetails(const std::vector<std::string>& details) {
   return joined;
 }
 
-// Assembles the pipeline's CPU contracts in path order — source host, every
-// compute stage, sink host — for the joint per-kernel check. `*_old_util` is
-// what the stream already holds (all zero on first admission).
+// Assembles the pipeline's source-host and compute-stage CPU contracts in
+// path order for the joint per-kernel check; the sinks' follow
+// (AddSinkCpuEnd). `*_old_util` is what the stream already holds (all zero
+// on first admission).
 std::vector<CpuEndCheck> BuildCpuEnds(nemesis::Kernel* source_kernel,
                                       const nemesis::QosParams& source_wanted,
-                                      double source_old_util, nemesis::Kernel* sink_kernel,
-                                      const nemesis::QosParams& sink_wanted,
-                                      double sink_old_util,
+                                      double source_old_util,
                                       const std::vector<nemesis::Kernel*>& stage_kernels,
                                       const std::vector<nemesis::QosParams>& stage_wanted,
                                       const std::vector<double>& stage_old_util) {
@@ -179,15 +178,26 @@ std::vector<CpuEndCheck> BuildCpuEnds(nemesis::Kernel* source_kernel,
     stage.what = "compute stage";
     cpu_ends.push_back(stage);
   }
+  return cpu_ends;
+}
+
+// Appends one sink's host CPU contract. A To*() sink always carries one, so
+// a sink without a host kernel refuses any CPU demand; a ToMany() leaf
+// without a host (a bare recorder) carries none. Sinks sharing a kernel are
+// grouped by the joint check.
+void AddSinkCpuEnd(const Workstation* ws, bool to_many, const nemesis::QosParams& wanted,
+                   double old_util, std::vector<CpuEndCheck>* cpu_ends) {
+  if (ws == nullptr && to_many) {
+    return;
+  }
   CpuEndCheck sink;
   sink.end = StreamSession::kSinkEnd;
-  sink.kernel = sink_kernel;
-  sink.wanted = sink_wanted;
-  sink.old_util = sink_old_util;
+  sink.kernel = ws != nullptr ? ws->kernel() : nullptr;
+  sink.wanted = wanted;
+  sink.old_util = old_util;
   sink.kind = AdmitFailure::kSinkCpu;
   sink.what = "sink";
-  cpu_ends.push_back(sink);
-  return cpu_ends;
+  cpu_ends->push_back(sink);
 }
 
 // The one joint cross-layer admission pass shared by first admission
@@ -287,9 +297,8 @@ bool RunJointAdmission(JointAdmissionRequest& req, StreamSpec counter,
     if (e.end == StreamSession::kSourceEnd) {
       counter.source_cpu = e.clamped;
     } else if (e.end == StreamSession::kSinkEnd) {
-      // One-to-many admission carries one sink entry per leaf host, all at
-      // the same per-sink demand; the joint offer must satisfy the
-      // tightest of them.
+      // A tree carries one sink entry per leaf host, all at the same
+      // per-sink demand; the joint offer must satisfy the tightest of them.
       if (e.clamped.slice < counter.sink_cpu.slice) {
         counter.sink_cpu = e.clamped;
       }
@@ -389,7 +398,7 @@ nemesis::PeriodicDomain* StreamSession::EndHandler(int end) const {
     return source_handler_.get();
   }
   if (end == kSinkEnd) {
-    return sink_handler_.get();
+    return sinks_.empty() ? nullptr : sinks_.front().handler.get();
   }
   const size_t leg = static_cast<size_t>(end - 2);
   return leg < legs_.size() ? legs_[leg].handler.get() : nullptr;
@@ -685,6 +694,40 @@ AdmissionReport StreamSession::Adapt(AdaptationEvent::Trigger trigger,
   return report;
 }
 
+bool StreamSession::ApplyCpuEnd(std::unique_ptr<nemesis::PeriodicDomain>* slot,
+                                nemesis::Kernel* kernel, const nemesis::QosParams& qos,
+                                const nemesis::QosParams& request, int end,
+                                const std::string& suffix) {
+  if (qos.slice <= 0) {
+    ReleaseCpuEnd(slot, kernel);
+    return true;
+  }
+  if (kernel == nullptr) {
+    return false;
+  }
+  nemesis::PeriodicDomain* handler = slot->get();
+  if (handler != nullptr && handler->kernel() != nullptr) {
+    if (!kernel->UpdateQos(handler, qos)) {
+      return false;
+    }
+  } else {
+    auto domain = std::make_unique<nemesis::PeriodicDomain>(
+        system_->simulator(), name_ + suffix, qos, qos.slice, qos.period);
+    if (!kernel->AddDomain(domain.get())) {
+      return false;
+    }
+    handler = domain.get();
+    *slot = std::move(domain);
+  }
+  if (manager_ != nullptr && manager_->kernel() == kernel) {
+    manager_->Register(handler, manager_weight_, request,
+                       [this, end](const nemesis::GrantUpdate& update) {
+                         OnGrantChanged(end, update);
+                       });
+  }
+  return true;
+}
+
 AdmissionReport StreamSession::Renegotiate(const StreamSpec& spec) {
   return RenegotiateImpl(spec, /*update_requests=*/true);
 }
@@ -767,32 +810,13 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   req.counter_streamwide =
       nlegs == 1 &&
       (spec.legs.empty() || spec.legs[0].bandwidth_bps == LegSpec::kInheritBps);
-  const nemesis::QosParams no_sink_cpu{0, sim::Milliseconds(100), true};
   req.cpu_ends = BuildCpuEnds(
       source_ws_ != nullptr ? source_ws_->kernel() : nullptr, spec.source_cpu,
-      source_handler_ != nullptr ? source_handler_->qos().Utilization() : 0.0,
-      sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr,
-      multicast_ ? no_sink_cpu : spec.sink_cpu,
-      sink_handler_ != nullptr ? sink_handler_->qos().Utilization() : 0.0, stage_kernels,
+      source_handler_ != nullptr ? source_handler_->qos().Utilization() : 0.0, stage_kernels,
       wanted_stage_cpu, stage_old_util);
-  if (multicast_) {
-    // One sink-CPU contract per leaf host, all at the same per-sink demand
-    // (BuildCpuEnds's single sink slot stays empty — a one-to-many session
-    // has no sink_ws_). Leaves sharing a kernel are grouped by the joint
-    // check; the counter-offer keeps the tightest clamp.
-    for (const McastSinkBinding& b : mcast_sinks_) {
-      if (b.sink.ws == nullptr) {
-        continue;
-      }
-      CpuEndCheck leaf;
-      leaf.end = kSinkEnd;
-      leaf.kernel = b.sink.ws->kernel();
-      leaf.wanted = spec.sink_cpu;
-      leaf.old_util = b.handler != nullptr ? b.handler->qos().Utilization() : 0.0;
-      leaf.kind = AdmitFailure::kSinkCpu;
-      leaf.what = "sink";
-      req.cpu_ends.push_back(leaf);
-    }
+  for (const SinkBinding& b : sinks_) {
+    AddSinkCpuEnd(b.sink.ws, multicast_, spec.sink_cpu,
+                  b.handler != nullptr ? b.handler->qos().Utilization() : 0.0, &req.cpu_ends);
   }
   req.stage_cpu = wanted_stage_cpu;
   req.check_disk = storage_ != nullptr && file_ >= 0 && spec.disk_bps != old.disk_bps;
@@ -839,49 +863,7 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
     });
   }
 
-  // CPU. `request` is the long-term demand (re-)registered with the QoS
-  // manager: on a forward apply the renegotiated spec, on a rollback the
-  // original request the session was opened with.
-  auto apply_cpu = [&](std::unique_ptr<nemesis::PeriodicDomain>* slot,
-                       nemesis::Kernel* kernel, const nemesis::QosParams& qos,
-                       const nemesis::QosParams& request, int end,
-                       const std::string& suffix) -> bool {
-    nemesis::PeriodicDomain* handler = slot->get();
-    if (qos.slice <= 0) {
-      if (handler != nullptr) {
-        ReleaseCpuEnd(slot, kernel);
-      }
-      return true;
-    }
-    if (kernel == nullptr) {
-      return false;
-    }
-    if (handler != nullptr && handler->kernel() != nullptr) {
-      if (!kernel->UpdateQos(handler, qos)) {
-        return false;
-      }
-      if (manager_ != nullptr && manager_->kernel() == kernel) {
-        manager_->Register(handler, manager_weight_, request,
-                           [this, end](const nemesis::GrantUpdate& update) {
-                           OnGrantChanged(end, update);
-                         });
-      }
-      return true;
-    }
-    auto domain = std::make_unique<nemesis::PeriodicDomain>(
-        system_->simulator(), name_ + suffix, qos, qos.slice, qos.period);
-    if (!kernel->AddDomain(domain.get())) {
-      return false;
-    }
-    if (manager_ != nullptr && manager_->kernel() == kernel) {
-      manager_->Register(domain.get(), manager_weight_, request,
-                         [this, end](const nemesis::GrantUpdate& update) {
-                           OnGrantChanged(end, update);
-                         });
-    }
-    *slot = std::move(domain);
-    return true;
-  };
+  // CPU, each end through ApplyCpuEnd.
   struct CpuApply {
     std::unique_ptr<nemesis::PeriodicDomain>* slot;
     nemesis::Kernel* kernel;
@@ -911,42 +893,34 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
                            old_stage_cpu[k], 2 + static_cast<int>(k),
                            "/via" + std::to_string(k), AdmitFailure::kComputeCpu});
   }
-  if (multicast_) {
-    // Per-leaf sink handlers move together at the one per-sink contract.
-    for (size_t si = 0; si < mcast_sinks_.size(); ++si) {
-      McastSinkBinding& b = mcast_sinks_[si];
-      if (b.sink.ws == nullptr) {
-        continue;
-      }
-      cpu_applies.push_back({&b.handler, b.sink.ws->kernel(), spec.sink_cpu,
-                             update_requests ? spec.sink_cpu : requested_sink_cpu_,
-                             b.handler != nullptr ? b.handler->qos() : no_cpu,
-                             requested_sink_cpu_, kSinkEnd, "/snk" + std::to_string(si),
-                             AdmitFailure::kSinkCpu});
+  // Every sink's handler moves to the one per-sink contract. A sink
+  // without a host holds none (admission refused any demand it would need).
+  for (size_t si = 0; si < sinks_.size(); ++si) {
+    SinkBinding& b = sinks_[si];
+    if (b.sink.ws == nullptr) {
+      continue;
     }
-  } else {
-    cpu_applies.push_back({&sink_handler_, sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr,
-                           spec.sink_cpu,
+    cpu_applies.push_back({&b.handler, b.sink.ws->kernel(), spec.sink_cpu,
                            update_requests ? spec.sink_cpu : requested_sink_cpu_,
-                           sink_handler_ != nullptr ? sink_handler_->qos() : no_cpu,
-                           requested_sink_cpu_, kSinkEnd, "/snk", AdmitFailure::kSinkCpu});
+                           b.handler != nullptr ? b.handler->qos() : no_cpu, requested_sink_cpu_,
+                           kSinkEnd, "/snk" + std::to_string(si), AdmitFailure::kSinkCpu});
   }
   std::sort(cpu_applies.begin(), cpu_applies.end(), [](const CpuApply& a, const CpuApply& b) {
     return a.wanted.Utilization() - a.prev.Utilization() <
            b.wanted.Utilization() - b.prev.Utilization();
   });
   for (CpuApply& apply : cpu_applies) {
-    if (!apply_cpu(apply.slot, apply.kernel, apply.wanted, apply.request, apply.end,
-                   apply.suffix)) {
+    if (!ApplyCpuEnd(apply.slot, apply.kernel, apply.wanted, apply.request, apply.end,
+                     apply.suffix)) {
       rollback();
       report.verdict = AdmitVerdict::kRejected;
       report.failure = apply.kind;
       report.detail = "CPU re-admission refused after the joint pre-check";
       return report;
     }
-    undo.push_back([this, &apply_cpu, apply]() mutable {
-      apply_cpu(apply.slot, apply.kernel, apply.prev, apply.prev_request, apply.end,
-                apply.suffix);
+    undo.push_back([this, apply]() {
+      ApplyCpuEnd(apply.slot, apply.kernel, apply.prev, apply.prev_request, apply.end,
+                  apply.suffix);
     });
   }
 
@@ -1009,8 +983,8 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   if (source_handler_ != nullptr) {
     contract_.granted.source_cpu = source_handler_->qos();
   }
-  if (sink_handler_ != nullptr) {
-    contract_.granted.sink_cpu = sink_handler_->qos();
+  if (nemesis::PeriodicDomain* sink = EndHandler(kSinkEnd)) {
+    contract_.granted.sink_cpu = sink->qos();
   }
   ++contract_.renegotiations;
   ApplySourcePacing();
@@ -1020,28 +994,83 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   return report;
 }
 
-void StreamSession::UnbindMulticastSink(McastSinkBinding& b) {
-  atm::Network& network = system_->network();
-  if (b.sink.storage != nullptr && b.record_file >= 0) {
+const StreamSession::SinkBinding* StreamSession::FirstRecorder() const {
+  for (const SinkBinding& b : sinks_) {
+    if (b.record_file >= 0) {
+      return &b;
+    }
+  }
+  return nullptr;
+}
+
+atm::Vci StreamSession::control_send_vci() const {
+  const SinkBinding* recorder = FirstRecorder();
+  return recorder != nullptr ? recorder->control_send_vci : control_send_vci_;
+}
+
+atm::Vci StreamSession::control_receive_vci() const {
+  const SinkBinding* recorder = FirstRecorder();
+  return recorder != nullptr ? recorder->control_receive_vci : control_receive_vci_;
+}
+
+pfs::FileId StreamSession::file() const {
+  const SinkBinding* recorder = FirstRecorder();
+  return recorder != nullptr ? recorder->record_file : file_;
+}
+
+bool StreamSession::BindSink(SinkBinding& b, const nemesis::QosParams& cpu,
+                             AdmissionReport* report) {
+  if (b.sink.ws != nullptr &&
+      !ApplyCpuEnd(&b.handler, b.sink.ws->kernel(), cpu, requested_sink_cpu_, kSinkEnd,
+                   "/snk" + std::to_string(sinks_.size() - 1))) {
+    report->failure = AdmitFailure::kSinkCpu;
+    report->detail = "scheduler admission refused the contract after the headroom check";
+    return false;
+  }
+  if (window_requested_ && b.sink.display != nullptr) {
+    dev::WindowManager wm(b.sink.display);
+    wm.CreateWindow(b.leaf_vci, window_x_, window_y_, window_w_, window_h_);
+    b.window_created = true;
+  }
+  if (b.sink.storage != nullptr) {
+    // Index marks ride a control VC from the managing (source) host to the
+    // file server, which "can also be viewed as a multimedia device" (§2.2).
+    if (source_ws_ != nullptr) {
+      auto control = system_->network().OpenVc(source_ws_->host(), b.sink.storage->endpoint());
+      if (!control.has_value()) {
+        report->failure = AdmitFailure::kNoPath;
+        report->detail = "control VC establishment failed";
+        return false;
+      }
+      b.control_vc = control->id;
+      b.control_send_vci = control->source_vci;
+      b.control_receive_vci = control->destination_vci;
+    }
+    b.record_file = b.sink.storage->StartRecording(b.leaf_vci, b.control_receive_vci,
+                                                   b.sink.record_stream_id);
+  }
+  return true;
+}
+
+void StreamSession::UnbindSink(SinkBinding& b) {
+  if (b.record_file >= 0) {
     b.sink.storage->StopRecording(b.leaf_vci, []() {});
     b.record_file = -1;
   }
-  if (b.window_created && b.sink.display != nullptr) {
+  if (b.window_created) {
     dev::WindowManager wm(b.sink.display);
     wm.DestroyWindow(b.leaf_vci);
     b.window_created = false;
   }
   ReleaseCpuEnd(&b.handler, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr);
   if (b.control_vc >= 0) {
-    network.CloseVc(b.control_vc);
-    control_vcs_.erase(std::remove(control_vcs_.begin(), control_vcs_.end(), b.control_vc),
-                       control_vcs_.end());
+    system_->network().CloseVc(b.control_vc);
     b.control_vc = -1;
   }
 }
 
 std::optional<atm::Vci> StreamSession::SinkVci(const atm::Endpoint* endpoint) const {
-  for (const McastSinkBinding& b : mcast_sinks_) {
+  for (const SinkBinding& b : sinks_) {
     if (b.sink.endpoint == endpoint) {
       return b.leaf_vci;
     }
@@ -1085,9 +1114,8 @@ AdmissionReport StreamSession::AddSink(const MulticastSink& sink) {
   }
   // Sink CPU on the leaf host alone — the rest of the tree is untouched.
   const nemesis::QosParams sink_cpu = contract_.granted.sink_cpu;
-  nemesis::Kernel* leaf_kernel =
-      sink.ws != nullptr ? sink.ws->kernel() : nullptr;
   if (sink_cpu.slice > 0 && sink.ws != nullptr) {
+    nemesis::Kernel* leaf_kernel = sink.ws->kernel();
     if (leaf_kernel == nullptr) {
       report.failure = AdmitFailure::kSinkCpu;
       report.detail = "no kernel attached to the leaf host";
@@ -1101,67 +1129,27 @@ AdmissionReport StreamSession::AddSink(const MulticastSink& sink) {
   }
   // Graft admission: AddLeaf checks (and charges) ONLY the links the graft
   // newly adds — links the tree already crosses are free.
-  auto leaf_vci = network.AddLeaf(legs_.front().vc, ep);
+  const atm::VcId tree = legs_.back().vc;
+  auto leaf_vci = network.AddLeaf(tree, ep);
   if (!leaf_vci.has_value()) {
     report.failure = AdmitFailure::kNetworkBandwidth;
     report.detail = "graft admission refused (no path or a new link lacks capacity)";
     return report;
   }
-  McastSinkBinding b;
+  sinks_.emplace_back();
+  SinkBinding& b = sinks_.back();
   b.sink = sink;
   b.sink.endpoint = ep;
   b.leaf_vci = *leaf_vci;
-  if (sink_cpu.slice > 0 && sink.ws != nullptr) {
-    auto domain = std::make_unique<nemesis::PeriodicDomain>(
-        system_->simulator(), name_ + "/snk" + std::to_string(mcast_sinks_.size()), sink_cpu,
-        sink_cpu.slice, sink_cpu.period);
-    if (!leaf_kernel->AddDomain(domain.get())) {
-      network.RemoveLeaf(legs_.front().vc, ep);
-      report.failure = AdmitFailure::kSinkCpu;
-      report.detail = "scheduler admission refused the contract after the headroom check";
-      return report;
-    }
-    b.handler = std::move(domain);
+  if (!BindSink(b, sink_cpu, &report)) {
+    UnbindSink(b);
+    sinks_.pop_back();
+    network.RemoveLeaf(tree, ep);
+    return report;
   }
-  if (mcast_window_requested_ && b.sink.display != nullptr) {
-    dev::WindowManager wm(b.sink.display);
-    wm.CreateWindow(b.leaf_vci, mcast_window_x_, mcast_window_y_, mcast_window_w_,
-                    mcast_window_h_);
-    b.window_created = true;
-  }
-  if (b.sink.storage != nullptr) {
-    atm::Vci control_receive = atm::kVciUnassigned;
-    if (source_ws_ != nullptr) {
-      auto control = network.OpenVc(source_ws_->host(), b.sink.storage->endpoint());
-      if (!control.has_value()) {
-        ReleaseCpuEnd(&b.handler, leaf_kernel);
-        if (b.window_created && b.sink.display != nullptr) {
-          dev::WindowManager wm(b.sink.display);
-          wm.DestroyWindow(b.leaf_vci);
-        }
-        network.RemoveLeaf(legs_.front().vc, ep);
-        report.failure = AdmitFailure::kNoPath;
-        report.detail = "control VC establishment failed";
-        return report;
-      }
-      b.control_vc = control->id;
-      control_vcs_.push_back(control->id);
-      control_receive = control->destination_vci;
-      if (control_send_vci_ == atm::kVciUnassigned) {
-        control_send_vci_ = control->source_vci;
-        control_receive_vci_ = control->destination_vci;
-      }
-    }
-    b.record_file =
-        b.sink.storage->StartRecording(b.leaf_vci, control_receive, b.sink.record_stream_id);
-    if (file_ < 0) {
-      file_ = b.record_file;  // file() names the first recording leaf
-    }
-  }
-  mcast_sinks_.push_back(std::move(b));
-  if (const atm::VcDescriptor* desc = network.GetVc(legs_.front().vc)) {
+  if (const atm::VcDescriptor* desc = network.GetVc(tree)) {
     contract_.hop_count = desc->hop_count;
-    legs_.front().hop_count = desc->hop_count;
+    legs_.back().hop_count = desc->hop_count;
   }
   report.verdict = AdmitVerdict::kAccepted;
   report.failure = AdmitFailure::kNone;
@@ -1172,25 +1160,25 @@ bool StreamSession::RemoveSink(const atm::Endpoint* endpoint) {
   if (!active_ || !multicast_ || legs_.empty()) {
     return false;
   }
-  auto it = std::find_if(mcast_sinks_.begin(), mcast_sinks_.end(),
-                         [endpoint](const McastSinkBinding& b) {
-                           return b.sink.endpoint == endpoint;
-                         });
-  if (it == mcast_sinks_.end()) {
+  auto it = std::find_if(sinks_.begin(), sinks_.end(), [endpoint](const SinkBinding& b) {
+    return b.sink.endpoint == endpoint;
+  });
+  if (it == sinks_.end()) {
     return false;
   }
   // The last leaf cannot be pruned (the network refuses a leafless tree);
   // Close() the session instead.
-  if (mcast_sinks_.size() <= 1) {
+  if (sinks_.size() <= 1) {
     return false;
   }
   atm::Network& network = system_->network();
-  UnbindMulticastSink(*it);
-  network.RemoveLeaf(legs_.front().vc, it->sink.endpoint);
-  mcast_sinks_.erase(it);
-  if (const atm::VcDescriptor* desc = network.GetVc(legs_.front().vc)) {
+  const atm::VcId tree = legs_.back().vc;
+  UnbindSink(*it);
+  network.RemoveLeaf(tree, it->sink.endpoint);
+  sinks_.erase(it);
+  if (const atm::VcDescriptor* desc = network.GetVc(tree)) {
     contract_.hop_count = desc->hop_count;
-    legs_.front().hop_count = desc->hop_count;
+    legs_.back().hop_count = desc->hop_count;
   }
   return true;
 }
@@ -1202,18 +1190,16 @@ void StreamSession::Close() {
   active_ = false;
   atm::Network& network = system_->network();
 
-  // One-to-many: unbind every leaf (recording, window, per-host CPU,
-  // control) before the tree VC below releases the shared reservations.
-  for (McastSinkBinding& b : mcast_sinks_) {
-    UnbindMulticastSink(b);
+  // Sink layer: every sink's recording, window, host CPU and control VC,
+  // before the final leg's tree below releases the shared reservations.
+  for (SinkBinding& b : sinks_) {
+    UnbindSink(b);
   }
 
-  // Storage layer: stop the transfer, release the rate reservation (which
-  // also drops the budget-pressure subscription) and the play-out pacing.
+  // Storage layer: stop play-out, release the rate reservation (which also
+  // drops the budget-pressure subscription) and the play-out pacing.
   if (storage_ != nullptr) {
-    if (recording_) {
-      storage_->StopRecording(sink_vci(), []() {});
-    } else if (file_ >= 0) {
+    if (!recording_ && file_ >= 0) {
       storage_->StopPlayback(file_);
       storage_->SetPlayoutPaceBps(file_, 0);
     }
@@ -1223,16 +1209,9 @@ void StreamSession::Close() {
     }
   }
 
-  // Display layer: retire the window granted to the final leg's VC.
-  if (window_created_ && sink_display_ != nullptr) {
-    dev::WindowManager wm(sink_display_);
-    wm.DestroyWindow(sink_vci());
-    window_created_ = false;
-  }
-
-  // CPU layer: retire the handler domains and their manager registrations.
+  // CPU layer: retire the source handler domain and its manager
+  // registration.
   ReleaseCpuEnd(&source_handler_, source_ws_ != nullptr ? source_ws_->kernel() : nullptr);
-  ReleaseCpuEnd(&sink_handler_, sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr);
 
   // Compute layer: detach every stage (no more packets reach it) and
   // release its contract domain.
@@ -1302,36 +1281,31 @@ StreamBuilder& StreamBuilder::Via(ComputeNode* node, dev::TileProcessor::Config 
 
 StreamBuilder& StreamBuilder::To(Workstation* ws, dev::AtmDisplay* display) {
   sink_kind_ = EndpointKind::kWorkstationDevice;
-  sink_ws_ = ws;
-  sink_ep_ = ws != nullptr ? ws->device_endpoint(display) : nullptr;
-  sink_display_ = display;
+  sink_ = MulticastSink{ws, ws != nullptr ? ws->device_endpoint(display) : nullptr, display};
   return *this;
 }
 
 StreamBuilder& StreamBuilder::To(Workstation* ws, dev::AudioPlayback* playback) {
   sink_kind_ = EndpointKind::kWorkstationDevice;
-  sink_ws_ = ws;
-  sink_ep_ = ws != nullptr ? ws->device_endpoint(playback) : nullptr;
+  sink_ = MulticastSink{ws, ws != nullptr ? ws->device_endpoint(playback) : nullptr};
   return *this;
 }
 
 StreamBuilder& StreamBuilder::ToEndpoint(Workstation* ws, atm::Endpoint* endpoint) {
   sink_kind_ = EndpointKind::kWorkstationDevice;
-  sink_ws_ = ws;
-  sink_ep_ = endpoint;
+  sink_ = MulticastSink{ws, endpoint};
   return *this;
 }
 
 StreamBuilder& StreamBuilder::ToStorage(StorageNode* storage, uint32_t stream_id) {
   sink_kind_ = EndpointKind::kStorage;
-  sink_storage_ = storage;
-  sink_ep_ = storage != nullptr ? storage->endpoint() : nullptr;
-  record_stream_id_ = stream_id;
+  sink_ = MulticastSink{nullptr, storage != nullptr ? storage->endpoint() : nullptr, nullptr,
+                        storage, stream_id};
   return *this;
 }
 
 StreamBuilder& StreamBuilder::ToMany(const std::vector<MulticastSink>& sinks) {
-  multicast_sinks_ = sinks;
+  many_sinks_ = sinks;
   return *this;
 }
 
@@ -1376,37 +1350,65 @@ StreamBuilder& StreamBuilder::OnDegrade(StreamSession::DegradeCallback cb) {
 }
 
 StreamResult StreamBuilder::Open() {
-  if (!multicast_sinks_.empty()) {
-    return OpenMulticast();
-  }
   StreamResult result;
   AdmissionReport& report = result.report;
   atm::Network& network = system_->network();
-
-  // --- resolve endpoints: source, every compute detour, sink ---
-  if (source_ep_ == nullptr || sink_ep_ == nullptr ||
-      source_kind_ == EndpointKind::kNone || sink_kind_ == EndpointKind::kNone) {
+  auto reject = [&](AdmitFailure failure, const std::string& detail) {
     report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kEndpoint;
-    report.detail = "source or sink endpoint missing";
+    report.failure = failure;
+    report.detail = detail;
     return result;
+  };
+
+  // --- resolve endpoints: source, every compute detour, the sinks. One-to-
+  // many composes with From*/WithSpec/WithWindow/WithAdaptation but not
+  // with the point-to-point-only pieces ---
+  const bool to_many = !many_sinks_.empty();
+  if (to_many) {
+    if (source_ep_ == nullptr || source_kind_ == EndpointKind::kNone) {
+      return reject(AdmitFailure::kEndpoint, "source endpoint missing");
+    }
+    if (sink_kind_ != EndpointKind::kNone) {
+      return reject(AdmitFailure::kEndpoint, "To*() and ToMany() are mutually exclusive");
+    }
+    if (!vias_.empty()) {
+      return reject(AdmitFailure::kEndpoint,
+                    "compute detours are point-to-point; ToMany() takes no Via() stages");
+    }
+    if (manager_ != nullptr) {
+      return reject(AdmitFailure::kEndpoint,
+                    "QoS-manager registration is not supported on one-to-many sessions");
+    }
+    if (spec_.disk_bps > 0) {
+      return reject(AdmitFailure::kDiskBandwidth,
+                    "disk reservation is per-file; not supported on one-to-many sessions");
+    }
+  } else if (source_ep_ == nullptr || sink_.endpoint == nullptr ||
+             source_kind_ == EndpointKind::kNone || sink_kind_ == EndpointKind::kNone) {
+    return reject(AdmitFailure::kEndpoint, "source or sink endpoint missing");
   }
   for (const ViaStage& via : vias_) {
     if (via.node == nullptr || via.node->endpoint() == nullptr) {
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kEndpoint;
-      report.detail = "compute node missing";
-      return result;
+      return reject(AdmitFailure::kEndpoint, "compute node missing");
     }
   }
-  StorageNode* storage = sink_storage_ != nullptr ? sink_storage_ : source_storage_;
-  std::vector<atm::Endpoint*> chain;
+  const std::vector<MulticastSink> sinks = to_many ? many_sinks_ : std::vector{sink_};
+  std::vector<atm::Endpoint*> sink_eps;
+  sink_eps.reserve(sinks.size());
+  for (const MulticastSink& sink : sinks) {
+    atm::Endpoint* ep = McastSinkEndpoint(sink);
+    if (ep == nullptr) {
+      return reject(AdmitFailure::kEndpoint, "a multicast sink names no endpoint");
+    }
+    sink_eps.push_back(ep);
+  }
+  StorageNode* storage = sink_.storage != nullptr ? sink_.storage : source_storage_;
+  std::vector<atm::Endpoint*> chain;  // every leg's source
   chain.push_back(source_ep_);
   for (const ViaStage& via : vias_) {
     chain.push_back(via.node->endpoint());
   }
-  chain.push_back(sink_ep_);
-  const size_t nlegs = chain.size() - 1;
+  const size_t nlegs = chain.size();
   const size_t nstages = vias_.size();
   std::vector<int64_t> wanted_bps(nlegs);
   for (size_t i = 0; i < nlegs; ++i) {
@@ -1415,45 +1417,43 @@ StreamResult StreamBuilder::Open() {
 
   // --- cross-layer admission: check EVERY layer of EVERY leg in one pass
   // before binding anything, collecting all failures into one joint
-  // counter-offer (the pass shared with RenegotiateImpl) ---
-  // One ResolveRoute per leg serves the whole pass: the joint bandwidth
-  // check, the latency check and the VC install below all reuse this
-  // resolve instead of re-running the pathfinder.
-  std::vector<atm::ResolvedRoute> leg_routes(nlegs);
+  // counter-offer (the pass shared with RenegotiateImpl). One ResolveRoute
+  // per leaf serves both the joint bandwidth check and the latency check.
+  // The final leg is a tree over the sinks: its links are the union of
+  // their routes, each shared edge counted once, and its deepest leaf
+  // bounds the latency ---
   std::vector<std::vector<atm::Link*>> leg_links(nlegs);
+  sim::DurationNs latency = 0;
+  sim::DurationNs deepest_leaf = 0;
+  std::set<atm::Link*> tree_links;
   for (size_t i = 0; i < nlegs; ++i) {
-    auto route = network.ResolveRoute(chain[i], chain[i + 1]);
-    if (!route.has_value()) {
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kNoPath;
-      report.detail = "no switch path on leg " + std::to_string(i);
-      return result;
-    }
-    leg_links[i] = route->links;
-    leg_routes[i] = std::move(*route);
-  }
-
-  // Latency bound against the chain's delivery-time floor. A resolved leg
-  // always carries its latency, so an uncomputable floor is a kNoPath
-  // rejection above — never silently treated as zero latency.
-  if (spec_.latency_bound > 0) {
-    sim::DurationNs total_latency = 0;
-    for (size_t i = 0; i < nlegs; ++i) {
-      total_latency += leg_routes[i].latency_ns;
-    }
-    if (total_latency > spec_.latency_bound) {
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kLatency;
-      report.detail = "chain latency floor exceeds the bound";
-      return result;
+    const bool tree = i + 1 == nlegs;
+    for (size_t j = 0; j < (tree ? sink_eps.size() : 1); ++j) {
+      auto route = network.ResolveRoute(chain[i], tree ? sink_eps[j] : chain[i + 1]);
+      if (!route.has_value()) {
+        return reject(AdmitFailure::kNoPath, "no switch path on leg " + std::to_string(i));
+      }
+      if (!tree) {
+        latency += route->latency_ns;
+      }
+      deepest_leaf = std::max(deepest_leaf, tree ? route->latency_ns : 0);
+      if (!tree || sink_eps.size() == 1) {
+        leg_links[i] = std::move(route->links);
+        continue;
+      }
+      for (atm::Link* l : route->links) {
+        if (tree_links.insert(l).second) {
+          leg_links[i].push_back(l);
+        }
+      }
     }
   }
-
+  if (spec_.latency_bound > 0 && latency + deepest_leaf > spec_.latency_bound) {
+    return reject(AdmitFailure::kLatency, "chain latency floor exceeds the bound");
+  }
   if (spec_.disk_bps > 0 && storage == nullptr) {
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kDiskBandwidth;
-    report.detail = "disk rate demanded but no storage endpoint on the path";
-    return result;
+    return reject(AdmitFailure::kDiskBandwidth,
+                  "disk rate demanded but no storage endpoint on the path");
   }
 
   std::vector<nemesis::Kernel*> stage_kernels(nstages);
@@ -1469,13 +1469,17 @@ StreamResult StreamBuilder::Open() {
   req.leg_links = &leg_links;
   req.wanted_bps = wanted_bps;
   req.old_bps = std::vector<int64_t>(nlegs, 0);
+  // A one-leg clamp lands on the stream-wide knob: the counter-offer scales
+  // a whole tree as one unit.
   req.counter_streamwide =
       nlegs == 1 &&
       (spec_.legs.empty() || spec_.legs[0].bandwidth_bps == LegSpec::kInheritBps);
-  req.cpu_ends =
-      BuildCpuEnds(source_ws_ != nullptr ? source_ws_->kernel() : nullptr, spec_.source_cpu,
-                   0.0, sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr, spec_.sink_cpu,
-                   0.0, stage_kernels, stage_cpu, std::vector<double>(nstages, 0.0));
+  req.cpu_ends = BuildCpuEnds(source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
+                              spec_.source_cpu, 0.0, stage_kernels, stage_cpu,
+                              std::vector<double>(nstages, 0.0));
+  for (const MulticastSink& sink : sinks) {
+    AddSinkCpuEnd(sink.ws, to_many, spec_.sink_cpu, 0.0, &req.cpu_ends);
+  }
   req.stage_cpu = stage_cpu;
   req.check_disk = spec_.disk_bps > 0;
   req.disk_wanted = spec_.disk_bps;
@@ -1491,15 +1495,13 @@ StreamResult StreamBuilder::Open() {
   StreamSession* s = session.get();
   s->name_ = name_;
   s->system_ = system_;
+  s->multicast_ = to_many;
   s->source_ws_ = source_ws_;
-  s->sink_ws_ = sink_ws_;
   s->source_ep_ = source_ep_;
-  s->sink_ep_ = sink_ep_;
   s->source_camera_ = source_camera_;
   s->source_audio_ = source_audio_;
-  s->sink_display_ = sink_display_;
   s->storage_ = storage;
-  s->recording_ = sink_storage_ != nullptr;
+  s->recording_ = sink_.storage != nullptr;
   s->manager_ = manager_;
   s->manager_weight_ = manager_weight_;
   s->requested_source_cpu_ = requested_source_cpu_.value_or(spec_.source_cpu);
@@ -1509,20 +1511,33 @@ StreamResult StreamBuilder::Open() {
     s->policy_ = *adaptation_;
   }
   s->degrade_cb_ = std::move(degrade_cb_);
+  s->window_requested_ = window_requested_;
+  s->window_x_ = window_x_;
+  s->window_y_ = window_y_;
+  s->window_w_ = window_w_;
+  s->window_h_ = window_h_;
+  if ((window_w_ == 0 || window_h_ == 0) && source_camera_ != nullptr) {
+    s->window_w_ = source_camera_->config().width;
+    s->window_h_ = source_camera_->config().height;
+  }
   s->active_ = true;
+  auto fail = [&](AdmitFailure failure, const std::string& detail) {
+    s->Close();
+    system_->AdoptSession(std::move(session));
+    return reject(failure, detail);
+  };
 
-  // Network: one reserved VC per leg; control VCs are best-effort, as in
+  // Network: one reserved VC per leg, each a tree — a Via() leg has one
+  // leaf, the final leg one per sink. Control VCs are best-effort, as in
   // the paper's signalling.
   int total_hops = 0;
   for (size_t i = 0; i < nlegs; ++i) {
-    auto vc = network.OpenVc(chain[i], chain[i + 1], atm::QosSpec{wanted_bps[i]}, leg_routes[i]);
+    const atm::QosSpec qos{wanted_bps[i]};
+    auto vc = i + 1 < nlegs ? network.OpenVc(chain[i], chain[i + 1], qos)
+                            : network.OpenMulticastVc(chain[i], sink_eps, qos);
     if (!vc.has_value()) {
-      s->Close();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kNetworkBandwidth;
-      report.detail = "VC establishment failed after admission on leg " + std::to_string(i);
-      system_->AdoptSession(std::move(session));
-      return result;
+      return fail(AdmitFailure::kNetworkBandwidth,
+                  "VC establishment failed after admission on leg " + std::to_string(i));
     }
     StreamSession::Leg leg;
     leg.vc = vc->id;
@@ -1542,124 +1557,66 @@ StreamResult StreamBuilder::Open() {
         s->legs_[k].sink_vci, s->legs_[k + 1].source_vci, vias_[k].config);
   }
 
-  bool control_failed = false;
+  // Session control (a recording sink opens its own below). A device pair
+  // gets a duplex: sink host -> source host (start/stop, mode select, sync),
+  // plus the reverse path, as every Pegasus device pairs (§2.2). Play-out
+  // gets a control stream from the viewing host to the file server.
   if (source_kind_ == EndpointKind::kWorkstationDevice &&
       sink_kind_ == EndpointKind::kWorkstationDevice) {
-    // Control duplex: sink host -> source host (start/stop, mode select,
-    // sync), plus the reverse path, as every Pegasus device pairs (§2.2).
-    auto control = network.OpenDuplex(sink_ws_->host(), source_ws_->host());
-    if (control.has_value()) {
-      s->control_vcs_ = {control->first.id, control->second.id};
-      s->control_send_vci_ = control->first.source_vci;
-      s->control_receive_vci_ = control->second.destination_vci;
-    } else {
-      control_failed = true;
+    auto control = network.OpenDuplex(sink_.ws->host(), source_ws_->host());
+    if (!control.has_value()) {
+      return fail(AdmitFailure::kNoPath, "control VC establishment failed");
     }
-  } else if (storage != nullptr) {
-    // Control stream from the managing host to the file server, which "can
-    // also be viewed as a multimedia device" (§2.2): index marks ride here.
-    Workstation* managing = sink_storage_ != nullptr ? source_ws_ : sink_ws_;
-    if (managing != nullptr) {
-      auto control = network.OpenVc(managing->host(), storage->endpoint());
-      if (control.has_value()) {
-        s->control_vcs_ = {control->id};
-        s->control_send_vci_ = control->source_vci;
-        s->control_receive_vci_ = control->destination_vci;
-      } else {
-        control_failed = true;
-      }
+    s->control_vcs_ = {control->first.id, control->second.id};
+    s->control_send_vci_ = control->first.source_vci;
+    s->control_receive_vci_ = control->second.destination_vci;
+  } else if (source_storage_ != nullptr && sink_.ws != nullptr) {
+    auto control = network.OpenVc(sink_.ws->host(), source_storage_->endpoint());
+    if (!control.has_value()) {
+      return fail(AdmitFailure::kNoPath, "control VC establishment failed");
     }
-  }
-  if (control_failed) {
-    // A session without its control path is not the contract that was asked
-    // for (index marks and device control would vanish silently).
-    s->Close();
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kNoPath;
-    report.detail = "control VC establishment failed";
-    system_->AdoptSession(std::move(session));
-    return result;
+    s->control_vcs_ = {control->id};
+    s->control_send_vci_ = control->source_vci;
+    s->control_receive_vci_ = control->destination_vci;
   }
 
-  // CPU: bind the per-end handler domains and per-stage compute domains
+  // CPU: bind the source handler domain and per-stage compute domains
   // through scheduler admission.
-  struct CpuBind {
-    std::unique_ptr<nemesis::PeriodicDomain>* handler;
-    nemesis::QosParams qos;
-    nemesis::Kernel* kernel;
-    nemesis::QosParams requested;
-    std::string suffix;
-    AdmitFailure failure;
-    int end;
-  };
-  std::vector<CpuBind> binds;
-  binds.push_back({&s->source_handler_, spec_.source_cpu,
-                   source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
-                   s->requested_source_cpu_, "/src", AdmitFailure::kSourceCpu,
-                   StreamSession::kSourceEnd});
-  for (size_t k = 0; k < nstages; ++k) {
-    const nemesis::QosParams stage_cpu = spec_.LegComputeCpu(k);
-    binds.push_back({&s->legs_[k].handler, stage_cpu, vias_[k].node->kernel(), stage_cpu,
-                     "/via" + std::to_string(k), AdmitFailure::kComputeCpu,
-                     2 + static_cast<int>(k)});
+  const char* const kCpuRefused =
+      "scheduler admission refused the contract after the headroom check";
+  if (!s->ApplyCpuEnd(&s->source_handler_, source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
+                      spec_.source_cpu, s->requested_source_cpu_, StreamSession::kSourceEnd,
+                      "/src")) {
+    return fail(AdmitFailure::kSourceCpu, kCpuRefused);
   }
-  binds.push_back({&s->sink_handler_, spec_.sink_cpu,
-                   sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr,
-                   s->requested_sink_cpu_, "/snk", AdmitFailure::kSinkCpu,
-                   StreamSession::kSinkEnd});
-  for (const CpuBind& bind : binds) {
-    if (bind.qos.slice <= 0) {
-      continue;
+  for (size_t k = 0; k < nstages; ++k) {
+    const nemesis::QosParams cpu = spec_.LegComputeCpu(k);
+    if (!s->ApplyCpuEnd(&s->legs_[k].handler, vias_[k].node->kernel(), cpu, cpu,
+                        2 + static_cast<int>(k), "/via" + std::to_string(k))) {
+      return fail(AdmitFailure::kComputeCpu, kCpuRefused);
     }
-    auto domain = std::make_unique<nemesis::PeriodicDomain>(
-        system_->simulator(), name_ + bind.suffix, bind.qos, bind.qos.slice, bind.qos.period);
-    if (!bind.kernel->AddDomain(domain.get())) {
-      s->Close();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = bind.failure;
-      report.detail = "scheduler admission refused the contract after the headroom check";
-      system_->AdoptSession(std::move(session));
-      return result;
-    }
-    if (manager_ != nullptr && manager_->kernel() == bind.kernel) {
-      manager_->Register(domain.get(), manager_weight_, bind.requested,
-                         [s, end = bind.end](const nemesis::GrantUpdate& update) {
-                           s->OnGrantChanged(end, update);
-                         });
-    }
-    *bind.handler = std::move(domain);
   }
 
-  // Storage: start the transfer under the rate reservation.
-  if (sink_storage_ != nullptr) {
-    s->file_ = sink_storage_->StartRecording(s->sink_vci(), s->control_receive_vci_,
-                                             record_stream_id_);
-  } else if (source_storage_ != nullptr) {
-    s->file_ = playback_file_;
+  // Sinks, in order: host CPU, window, recording.
+  const atm::VcId tree = s->legs_.back().vc;
+  for (size_t i = 0; i < sinks.size(); ++i) {
+    s->sinks_.emplace_back();
+    StreamSession::SinkBinding& b = s->sinks_.back();
+    b.sink = sinks[i];
+    b.sink.endpoint = sink_eps[i];
+    b.leaf_vci = network.McastLeafVci(tree, sink_eps[i]).value_or(atm::kVciUnassigned);
+    if (!s->BindSink(b, spec_.sink_cpu, &report)) {
+      return fail(report.failure, report.detail);
+    }
   }
+
+  // Storage: the transfer runs under the rate reservation.
+  s->file_ = s->recording_ ? s->sinks_.front().record_file : playback_file_;
   if (spec_.disk_bps > 0 && storage != nullptr && s->file_ >= 0) {
     if (!storage->server()->ReserveStream(s->file_, spec_.disk_bps)) {
-      s->Close();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kDiskBandwidth;
-      report.detail = "PFS reservation refused after the budget check";
-      system_->AdoptSession(std::move(session));
-      return result;
+      return fail(AdmitFailure::kDiskBandwidth, "PFS reservation refused after the budget check");
     }
     s->disk_reserved_ = true;
-  }
-
-  // Display: the window manager grants the final leg's VC a window.
-  if (sink_display_ != nullptr && window_requested_) {
-    int w = window_w_;
-    int h = window_h_;
-    if ((w == 0 || h == 0) && source_camera_ != nullptr) {
-      w = source_camera_->config().width;
-      h = source_camera_->config().height;
-    }
-    dev::WindowManager wm(sink_display_);
-    wm.CreateWindow(s->sink_vci(), window_x_, window_y_, w, h);
-    s->window_created_ = true;
   }
 
   // The granted contract carries fully explicit legs for pipelines, so
@@ -1680,232 +1637,6 @@ StreamResult StreamBuilder::Open() {
   // Pace every media source to the granted rates so the reservations hold
   // (camera and audio to the first leg, storage play-out to min(net, disk)),
   // and subscribe the session to the other layers' degradation signals.
-  s->ApplySourcePacing();
-  s->BindAdaptationHooks();
-
-  report.verdict = AdmitVerdict::kAccepted;
-  report.failure = AdmitFailure::kNone;
-  result.session = s;
-  system_->AdoptSession(std::move(session));
-  return result;
-}
-
-StreamResult StreamBuilder::OpenMulticast() {
-  StreamResult result;
-  AdmissionReport& report = result.report;
-  atm::Network& network = system_->network();
-  auto reject = [&](AdmitFailure failure, const char* detail) {
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = failure;
-    report.detail = detail;
-    return result;
-  };
-
-  // --- resolve the fan-out set; one-to-many composes with From*/WithSpec/
-  // WithWindow/WithAdaptation but not with the point-to-point-only pieces ---
-  if (source_ep_ == nullptr || source_kind_ == EndpointKind::kNone) {
-    return reject(AdmitFailure::kEndpoint, "source endpoint missing");
-  }
-  if (sink_kind_ != EndpointKind::kNone) {
-    return reject(AdmitFailure::kEndpoint, "To*() and ToMany() are mutually exclusive");
-  }
-  if (!vias_.empty()) {
-    return reject(AdmitFailure::kEndpoint,
-                  "compute detours are point-to-point; ToMany() takes no Via() stages");
-  }
-  if (manager_ != nullptr) {
-    return reject(AdmitFailure::kEndpoint,
-                  "QoS-manager registration is not supported on one-to-many sessions");
-  }
-  if (spec_.disk_bps > 0) {
-    return reject(AdmitFailure::kDiskBandwidth,
-                  "disk reservation is per-file; not supported on one-to-many sessions");
-  }
-  std::vector<atm::Endpoint*> leaf_eps;
-  leaf_eps.reserve(multicast_sinks_.size());
-  for (const MulticastSink& sink : multicast_sinks_) {
-    atm::Endpoint* ep = McastSinkEndpoint(sink);
-    if (ep == nullptr) {
-      return reject(AdmitFailure::kEndpoint, "a multicast sink names no endpoint");
-    }
-    leaf_eps.push_back(ep);
-  }
-
-  // --- joint admission over the TREE: per-sink cached resolves give the
-  // deduplicated union of traversed links — exactly the edge set
-  // OpenMulticastVc will build — so each shared edge is charged once, and
-  // the deepest leaf bounds the latency ---
-  std::vector<atm::Link*> union_links;
-  std::set<atm::Link*> seen_links;
-  sim::DurationNs worst_latency = 0;
-  for (atm::Endpoint* ep : leaf_eps) {
-    auto route = network.ResolveRoute(source_ep_, ep);
-    if (!route.has_value()) {
-      return reject(AdmitFailure::kNoPath, "no switch path to a sink");
-    }
-    worst_latency = std::max(worst_latency, route->latency_ns);
-    for (atm::Link* l : route->links) {
-      if (seen_links.insert(l).second) {
-        union_links.push_back(l);
-      }
-    }
-  }
-  if (spec_.latency_bound > 0 && worst_latency > spec_.latency_bound) {
-    return reject(AdmitFailure::kLatency, "deepest leaf exceeds the latency bound");
-  }
-
-  const nemesis::QosParams no_cpu{0, sim::Milliseconds(100), true};
-  JointAdmissionRequest req;
-  req.network = &network;
-  req.nlegs = 1;
-  req.nstages = 0;
-  std::vector<std::vector<atm::Link*>> leg_links{union_links};
-  req.leg_links = &leg_links;
-  req.wanted_bps = {spec_.bandwidth_bps};
-  req.old_bps = {0};
-  // A clamp lands on the stream-wide knob: the counter-offer scales the
-  // whole tree as one unit.
-  req.counter_streamwide = true;
-  req.cpu_ends = BuildCpuEnds(source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
-                              spec_.source_cpu, 0.0, nullptr, no_cpu, 0.0, {}, {}, {});
-  for (const MulticastSink& sink : multicast_sinks_) {
-    if (sink.ws == nullptr) {
-      continue;
-    }
-    CpuEndCheck leaf;
-    leaf.end = StreamSession::kSinkEnd;
-    leaf.kernel = sink.ws->kernel();
-    leaf.wanted = spec_.sink_cpu;
-    leaf.kind = AdmitFailure::kSinkCpu;
-    leaf.what = "sink";
-    req.cpu_ends.push_back(leaf);
-  }
-  if (!RunJointAdmission(req, spec_, &report)) {
-    return result;
-  }
-
-  // --- every layer accepts: bind the tree ---
-  auto session = std::unique_ptr<StreamSession>(new StreamSession());
-  StreamSession* s = session.get();
-  s->name_ = name_;
-  s->system_ = system_;
-  s->multicast_ = true;
-  s->source_ws_ = source_ws_;
-  s->source_ep_ = source_ep_;
-  s->source_camera_ = source_camera_;
-  s->source_audio_ = source_audio_;
-  s->requested_source_cpu_ = requested_source_cpu_.value_or(spec_.source_cpu);
-  s->requested_sink_cpu_ = requested_sink_cpu_.value_or(spec_.sink_cpu);
-  if (adaptation_.has_value()) {
-    s->has_adaptation_ = true;
-    s->policy_ = *adaptation_;
-  }
-  s->degrade_cb_ = std::move(degrade_cb_);
-  s->mcast_window_requested_ = window_requested_;
-  s->mcast_window_x_ = window_x_;
-  s->mcast_window_y_ = window_y_;
-  s->mcast_window_w_ = window_w_;
-  s->mcast_window_h_ = window_h_;
-  if ((s->mcast_window_w_ == 0 || s->mcast_window_h_ == 0) && source_camera_ != nullptr) {
-    s->mcast_window_w_ = source_camera_->config().width;
-    s->mcast_window_h_ = source_camera_->config().height;
-  }
-  s->active_ = true;
-
-  auto vc = network.OpenMulticastVc(source_ep_, leaf_eps, atm::QosSpec{spec_.bandwidth_bps});
-  if (!vc.has_value()) {
-    s->Close();
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kNetworkBandwidth;
-    report.detail = "tree establishment failed after admission";
-    system_->AdoptSession(std::move(session));
-    return result;
-  }
-  StreamSession::Leg leg;
-  leg.vc = vc->id;
-  leg.source_vci = vc->source_vci;
-  leg.sink_vci = vc->destination_vci;
-  leg.granted_bps = spec_.bandwidth_bps;
-  leg.hop_count = vc->hop_count;
-  s->legs_.push_back(std::move(leg));
-
-  // Source CPU.
-  if (spec_.source_cpu.slice > 0) {
-    auto domain = std::make_unique<nemesis::PeriodicDomain>(
-        system_->simulator(), name_ + "/src", spec_.source_cpu, spec_.source_cpu.slice,
-        spec_.source_cpu.period);
-    if (!source_ws_->kernel()->AddDomain(domain.get())) {
-      s->Close();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kSourceCpu;
-      report.detail = "scheduler admission refused the contract after the headroom check";
-      system_->AdoptSession(std::move(session));
-      return result;
-    }
-    s->source_handler_ = std::move(domain);
-  }
-
-  // Per-leaf binds: sink CPU, window, recording + control, in sink order.
-  for (size_t i = 0; i < multicast_sinks_.size(); ++i) {
-    s->mcast_sinks_.emplace_back();
-    StreamSession::McastSinkBinding& b = s->mcast_sinks_.back();
-    b.sink = multicast_sinks_[i];
-    b.sink.endpoint = leaf_eps[i];
-    b.leaf_vci = network.McastLeafVci(vc->id, leaf_eps[i]).value_or(atm::kVciUnassigned);
-    if (spec_.sink_cpu.slice > 0 && b.sink.ws != nullptr) {
-      auto domain = std::make_unique<nemesis::PeriodicDomain>(
-          system_->simulator(), name_ + "/snk" + std::to_string(i), spec_.sink_cpu,
-          spec_.sink_cpu.slice, spec_.sink_cpu.period);
-      if (!b.sink.ws->kernel()->AddDomain(domain.get())) {
-        s->Close();
-        report.verdict = AdmitVerdict::kRejected;
-        report.failure = AdmitFailure::kSinkCpu;
-        report.detail = "scheduler admission refused the contract after the headroom check";
-        system_->AdoptSession(std::move(session));
-        return result;
-      }
-      b.handler = std::move(domain);
-    }
-    if (window_requested_ && b.sink.display != nullptr) {
-      dev::WindowManager wm(b.sink.display);
-      wm.CreateWindow(b.leaf_vci, s->mcast_window_x_, s->mcast_window_y_, s->mcast_window_w_,
-                      s->mcast_window_h_);
-      b.window_created = true;
-    }
-    if (b.sink.storage != nullptr) {
-      atm::Vci control_receive = atm::kVciUnassigned;
-      if (source_ws_ != nullptr) {
-        // Index marks ride a control VC from the managing (source) host to
-        // the file server, as for a unicast recording.
-        auto control = network.OpenVc(source_ws_->host(), b.sink.storage->endpoint());
-        if (!control.has_value()) {
-          s->Close();
-          report.verdict = AdmitVerdict::kRejected;
-          report.failure = AdmitFailure::kNoPath;
-          report.detail = "control VC establishment failed";
-          system_->AdoptSession(std::move(session));
-          return result;
-        }
-        b.control_vc = control->id;
-        s->control_vcs_.push_back(control->id);
-        control_receive = control->destination_vci;
-        if (s->control_send_vci_ == atm::kVciUnassigned) {
-          s->control_send_vci_ = control->source_vci;
-          s->control_receive_vci_ = control->destination_vci;
-        }
-      }
-      b.record_file =
-          b.sink.storage->StartRecording(b.leaf_vci, control_receive, b.sink.record_stream_id);
-      if (s->file_ < 0) {
-        s->file_ = b.record_file;  // file() names the first recording leaf
-      }
-    }
-  }
-
-  s->contract_.granted = spec_;
-  s->contract_.hop_count = vc->hop_count;
-  s->contract_.established_at = system_->simulator()->now();
-  s->nominal_ = s->contract_.granted;
   s->ApplySourcePacing();
   s->BindAdaptationHooks();
 

@@ -224,9 +224,10 @@ struct QosContract {
   int renegotiations = 0;
 };
 
-// One leaf of a one-to-many stream (StreamBuilder::ToMany / AddSink). A
-// workstation leaf names the endpoint packets should land on (and optionally
-// a display to window them); a storage leaf records the stream there.
+// One sink of a stream's final leg: the single sink a To*() call records or
+// one leaf of a one-to-many stream (StreamBuilder::ToMany / AddSink). A
+// workstation sink names the endpoint packets should land on (and optionally
+// a display to window them); a storage sink records the stream there.
 struct MulticastSink {
   Workstation* ws = nullptr;
   atm::Endpoint* endpoint = nullptr;   // any endpoint on `ws`
@@ -238,7 +239,9 @@ struct MulticastSink {
 // An admitted stream: one VC per pipeline leg (each paced to its granted
 // bandwidth), the control VC(s), the per-end handler domains and per-stage
 // compute domains holding the CPU contracts, the PFS reservation and the
-// sink window — all released together by Close().
+// sink window — all released together by Close(). Every leg's VC is a tree:
+// a Via() leg has one leaf, and the final leg has one leaf per sink, each
+// with its own sink binding (window, recording, control VC, sink-host CPU).
 class StreamSession {
  public:
   // CPU contract "ends": 0 = source host, 1 = sink host, 2+k = the compute
@@ -291,21 +294,24 @@ class StreamSession {
   atm::Vci sink_vci() const {
     return legs_.empty() ? atm::kVciUnassigned : legs_.back().sink_vci;
   }
-  // Control stream: managing host -> far end (index marks, start/stop).
-  atm::Vci control_send_vci() const { return control_send_vci_; }
-  atm::Vci control_receive_vci() const { return control_receive_vci_; }
-  // The continuous file a ToStorage session records into, the file a
-  // FromStorage session plays, or the first recording leaf's file of a
-  // one-to-many session; -1 otherwise.
-  pfs::FileId file() const { return file_; }
+  // Control stream: managing host -> far end (index marks, start/stop). A
+  // recording session uses the control VC of its first live recording sink;
+  // unassigned when there is none.
+  atm::Vci control_send_vci() const;
+  atm::Vci control_receive_vci() const;
+  // The file the first live recording sink records into, else the file a
+  // FromStorage session plays (or a closed ToStorage session recorded); -1
+  // otherwise.
+  pfs::FileId file() const;
   // The handler domains holding the CPU contracts (null when no CPU was
-  // demanded at that end). Exposed so callers can observe manager grants.
+  // demanded at that end). Exposed so callers can observe manager grants;
+  // the sink handler is the first sink's.
   nemesis::PeriodicDomain* source_handler() const { return source_handler_.get(); }
-  nemesis::PeriodicDomain* sink_handler() const { return sink_handler_.get(); }
+  nemesis::PeriodicDomain* sink_handler() const { return EndHandler(kSinkEnd); }
 
-  // --- one-to-many sessions (StreamBuilder::ToMany) ---
+  // --- sinks; AddSink/RemoveSink need a one-to-many session (ToMany) ---
   bool is_multicast() const { return multicast_; }
-  int sink_count() const { return static_cast<int>(mcast_sinks_.size()); }
+  int sink_count() const { return static_cast<int>(sinks_.size()); }
   // The VCI `endpoint` observes on delivered packets, if it is a leaf.
   std::optional<atm::Vci> SinkVci(const atm::Endpoint* endpoint) const;
   // Grafts one more leaf onto the tree. Only the NEW branch path is
@@ -372,6 +378,14 @@ class StreamSession {
 
   void ReleaseCpuEnd(std::unique_ptr<nemesis::PeriodicDomain>* handler,
                      nemesis::Kernel* kernel);
+  // Moves the CPU contract held in `slot` to `qos` on `kernel`: admits a
+  // new handler domain, re-admits an existing one, or releases it at zero
+  // slice, then (re-)registers it with the QoS manager under the long-term
+  // `request` when the manager runs that kernel. False when the kernel
+  // refuses (nothing changes then).
+  bool ApplyCpuEnd(std::unique_ptr<nemesis::PeriodicDomain>* slot, nemesis::Kernel* kernel,
+                   const nemesis::QosParams& qos, const nemesis::QosParams& request, int end,
+                   const std::string& suffix);
   // The handler holding the contract for `end`, or null.
   nemesis::PeriodicDomain* EndHandler(int end) const;
   void OnGrantChanged(int end, const nemesis::GrantUpdate& update);
@@ -414,40 +428,52 @@ class StreamSession {
 
   // Endpoints.
   Workstation* source_ws_ = nullptr;
-  Workstation* sink_ws_ = nullptr;
   atm::Endpoint* source_ep_ = nullptr;
-  atm::Endpoint* sink_ep_ = nullptr;
   dev::AtmCamera* source_camera_ = nullptr;
   dev::AudioCapture* source_audio_ = nullptr;
-  dev::AtmDisplay* sink_display_ = nullptr;
+  // The storage stream the disk reservation and play-out pacing apply to:
+  // the file a ToStorage sink records (recording_) or FromStorage plays.
   StorageNode* storage_ = nullptr;
   bool recording_ = false;
 
-  // One-to-many sessions: per-leaf bindings, in graft order. The tree
-  // itself is legs_[0] (vc = the multicast VcId, granted_bps = the ONE
-  // per-tree-edge reservation); each leaf adds only its own window,
-  // recording, control VC and sink-host CPU contract.
-  struct McastSinkBinding {
+  // What one sink of the final leg binds at its end. The final leg's tree
+  // (legs_.back(): one reservation per tree edge) carries every sink; a
+  // sink adds only its own leaf VCI, window, recording, control VC and
+  // sink-host CPU contract.
+  struct SinkBinding {
     MulticastSink sink;
     atm::Vci leaf_vci = atm::kVciUnassigned;
     std::unique_ptr<nemesis::PeriodicDomain> handler;  // sink-host CPU
-    atm::VcId control_vc = -1;                         // recording leaves
-    pfs::FileId record_file = -1;
     bool window_created = false;
+    // Recording sinks: the file, and the control VC from the managing host
+    // to the file server that index marks ride.
+    pfs::FileId record_file = -1;
+    atm::VcId control_vc = -1;
+    atm::Vci control_send_vci = atm::kVciUnassigned;
+    atm::Vci control_receive_vci = atm::kVciUnassigned;
   };
+  // Opened with ToMany(): AddSink/RemoveSink are allowed.
   bool multicast_ = false;
-  std::vector<McastSinkBinding> mcast_sinks_;
-  // Window geometry display leaves are bound with (WithWindow at build
-  // time; AddSink reuses it so late joiners get the same window).
-  bool mcast_window_requested_ = false;
-  int mcast_window_x_ = 0;
-  int mcast_window_y_ = 0;
-  int mcast_window_w_ = 0;
-  int mcast_window_h_ = 0;
-  // Unbinds one leaf's window/recording/CPU/control (not the tree branch).
-  void UnbindMulticastSink(McastSinkBinding& b);
+  std::vector<SinkBinding> sinks_;  // graft order
+  // Window geometry display sinks are bound with (WithWindow at build time;
+  // AddSink reuses it so late joiners get the same window).
+  bool window_requested_ = false;
+  int window_x_ = 0;
+  int window_y_ = 0;
+  int window_w_ = 0;
+  int window_h_ = 0;
+  // Binds `b`, the newest entry of sinks_ (its leaf VCI already grafted):
+  // sink-host CPU under `cpu`, window, then a recording's control VC and
+  // file. On failure fills `report` and returns false, leaving what was
+  // bound for UnbindSink.
+  bool BindSink(SinkBinding& b, const nemesis::QosParams& cpu, AdmissionReport* report);
+  // Releases everything BindSink bound (not the tree branch).
+  void UnbindSink(SinkBinding& b);
+  // The first sink still recording, or null.
+  const SinkBinding* FirstRecorder() const;
 
-  // Network + compute: the bound pipeline.
+  // Network + compute: the bound pipeline, and the session-level control
+  // VCs (a device-pair duplex or a play-out control stream).
   std::vector<Leg> legs_;
   std::vector<atm::VcId> control_vcs_;
   atm::Vci control_send_vci_ = atm::kVciUnassigned;
@@ -455,7 +481,6 @@ class StreamSession {
 
   // CPU.
   std::unique_ptr<nemesis::PeriodicDomain> source_handler_;
-  std::unique_ptr<nemesis::PeriodicDomain> sink_handler_;
   // Handlers removed from their kernel stay here, inert, because a pending
   // job-release timer in the simulator may still reference them.
   std::vector<std::unique_ptr<nemesis::PeriodicDomain>> retired_handlers_;
@@ -469,9 +494,6 @@ class StreamSession {
   // Storage.
   pfs::FileId file_ = -1;
   bool disk_reserved_ = false;
-
-  // Display.
-  bool window_created_ = false;
 
   // Adaptation plane. Each signal source holds its own limit fraction; the
   // session adapts toward their minimum, so independent degradations
@@ -551,12 +573,13 @@ class StreamBuilder {
   // Record into a fresh continuous file; index marks for `stream_id` on the
   // control VC drive the time index.
   StreamBuilder& ToStorage(StorageNode* storage, uint32_t stream_id = 1);
-  // One-to-many: the stream fans out over ONE shared multicast tree to
-  // every listed sink (displays, plain endpoints, storage recorders — may
-  // be mixed). Joint admission charges each tree edge once, so a trunk
-  // shared by a thousand viewers reserves one stream's bandwidth; the
-  // counter-offer scales the whole tree as a unit. Mutually exclusive with
-  // To*/Via/ManagedBy. Late joins ride StreamSession::AddSink.
+  // One-to-many: the final leg's tree fans out to every listed sink
+  // (displays, plain endpoints, storage recorders — may be mixed), where a
+  // To*() call gives it one leaf. Joint admission charges each tree edge
+  // once, so a trunk shared by a thousand viewers reserves one stream's
+  // bandwidth; the counter-offer scales the whole tree as a unit. Mutually
+  // exclusive with To*/Via/ManagedBy and disk rate. Late joins ride
+  // StreamSession::AddSink.
   StreamBuilder& ToMany(const std::vector<MulticastSink>& sinks);
 
   StreamBuilder& WithSpec(const StreamSpec& spec);
@@ -596,22 +619,15 @@ class StreamBuilder {
   EndpointKind source_kind_ = EndpointKind::kNone;
   EndpointKind sink_kind_ = EndpointKind::kNone;
   Workstation* source_ws_ = nullptr;
-  Workstation* sink_ws_ = nullptr;
   atm::Endpoint* source_ep_ = nullptr;
-  atm::Endpoint* sink_ep_ = nullptr;
   dev::AtmCamera* source_camera_ = nullptr;
   dev::AudioCapture* source_audio_ = nullptr;
-  dev::AtmDisplay* sink_display_ = nullptr;
   StorageNode* source_storage_ = nullptr;
-  StorageNode* sink_storage_ = nullptr;
   pfs::FileId playback_file_ = -1;
-  uint32_t record_stream_id_ = 1;
   std::vector<ViaStage> vias_;
-  std::vector<MulticastSink> multicast_sinks_;
-
-  // The ToMany() open path: one shared tree, joint admission over its
-  // deduplicated edge set, per-leaf sink-CPU/window/recording binds.
-  StreamResult OpenMulticast();
+  // To*() records one sink, ToMany() several; Open() refuses both at once.
+  MulticastSink sink_;
+  std::vector<MulticastSink> many_sinks_;
 
   bool window_requested_ = false;
   int window_x_ = 0;

@@ -622,7 +622,6 @@ TEST_F(NetworkFixture, CongestionHandlerClosingSiblingVcSuppressesItsCallback) {
 TEST_F(NetworkFixture, MulticastVcDeliversToEveryLeafOnce) {
   auto vc = net_.OpenMulticastVc(a_, {b_, c_}, QosSpec{10'000'000});
   ASSERT_TRUE(vc.has_value());
-  EXPECT_TRUE(net_.IsMulticastVc(vc->id));
   EXPECT_EQ(net_.McastLeafCount(vc->id), 2);
   ASSERT_TRUE(net_.McastLeafVci(vc->id, b_).has_value());
   ASSERT_TRUE(net_.McastLeafVci(vc->id, c_).has_value());
@@ -705,20 +704,145 @@ TEST_F(NetworkFixture, MulticastPruneStopsDeliveryToThatLeafOnly) {
 
 TEST_F(NetworkFixture, MulticastRejectsBadSinkSets) {
   EXPECT_FALSE(net_.OpenMulticastVc(a_, {}).has_value());
-  EXPECT_FALSE(net_.OpenMulticastVc(a_, {a_}).has_value());          // self
   EXPECT_FALSE(net_.OpenMulticastVc(a_, {b_, b_}).has_value());      // dup
   auto vc = net_.OpenMulticastVc(a_, {b_});
   ASSERT_TRUE(vc.has_value());
   EXPECT_FALSE(net_.AddLeaf(vc->id, b_).has_value());                // dup leaf
-  EXPECT_FALSE(net_.AddLeaf(vc->id, a_).has_value());                // source
   EXPECT_FALSE(net_.AddLeaf(vc->id + 999, c_).has_value());          // bad id
   EXPECT_FALSE(net_.RemoveLeaf(vc->id, c_));                         // not a leaf
-  // Unicast VCs refuse tree operations.
-  auto uni = net_.OpenVc(a_, b_);
-  ASSERT_TRUE(uni.has_value());
-  EXPECT_FALSE(net_.IsMulticastVc(uni->id));
-  EXPECT_FALSE(net_.AddLeaf(uni->id, c_).has_value());
-  EXPECT_FALSE(net_.RemoveLeaf(uni->id, b_));
+}
+
+// Unicast is the one-leaf tree: a leaf grafted onto an OpenVc VC receives
+// the source's cells alongside the original destination.
+TEST_F(NetworkFixture, LeafGraftedOntoUnicastVcReceivesCells) {
+  auto vc = net_.OpenVc(a_, b_, QosSpec{10'000'000});
+  ASSERT_TRUE(vc.has_value());
+  auto c_vci = net_.AddLeaf(vc->id, c_);
+  ASSERT_TRUE(c_vci.has_value());
+  EXPECT_EQ(net_.McastLeafCount(vc->id), 2);
+  EXPECT_EQ(net_.GetVc(vc->id)->hop_count, 2);
+  int got_b = 0;
+  int got_c = 0;
+  MessageTransport bt(b_);
+  MessageTransport ct(c_);
+  bt.SetHandler(vc->destination_vci, [&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_b; });
+  ct.SetHandler(*c_vci, [&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_c; });
+  MessageTransport at(a_);
+  at.Send(vc->source_vci, {9});
+  sim_.Run();
+  EXPECT_EQ(got_b, 1);
+  EXPECT_EQ(got_c, 1);
+  EXPECT_EQ(sw1_->cells_unroutable() + sw2_->cells_unroutable(), 0u);
+}
+
+TEST_F(NetworkFixture, PruneBackToOneLeafThenCloseDrainsEveryLink) {
+  Endpoint* d = net_.AddEndpoint("d", sw2_, 1, 155'000'000);
+  auto vc = net_.OpenVc(a_, c_, QosSpec{25'000'000});
+  ASSERT_TRUE(vc.has_value());
+  ASSERT_TRUE(net_.AddLeaf(vc->id, d).has_value());
+  ASSERT_TRUE(net_.AddLeaf(vc->id, b_).has_value());
+  EXPECT_TRUE(net_.RemoveLeaf(vc->id, c_));
+  EXPECT_TRUE(net_.RemoveLeaf(vc->id, d));
+  EXPECT_EQ(net_.McastLeafCount(vc->id), 1);
+  EXPECT_EQ(net_.GetVc(vc->id)->hop_count, 1);  // the trunk went with d
+  EXPECT_EQ(net_.VcLinks(vc->id)->size(), 2u);  // a's uplink, b's downlink
+  EXPECT_FALSE(net_.RemoveLeaf(vc->id, b_));
+  EXPECT_TRUE(net_.CloseVc(vc->id));
+  EXPECT_EQ(net_.open_vc_count(), 0);
+  for (const auto& l : net_.links()) {
+    EXPECT_EQ(net_.ReservedBps(l.get()), 0) << l->name();
+    EXPECT_TRUE(net_.VcsOnLink(l.get()).empty()) << l->name();
+  }
+}
+
+TEST_F(NetworkFixture, SourceCanBeItsOwnLeaf) {
+  // A loopback VC turns around in the source's own switch.
+  auto loop = net_.OpenVc(a_, a_, QosSpec{1'000'000});
+  ASSERT_TRUE(loop.has_value());
+  EXPECT_EQ(loop->hop_count, 1);
+  int got = 0;
+  MessageTransport at(a_);
+  at.SetHandler(loop->destination_vci, [&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got; });
+  at.Send(loop->source_vci, {5});
+  sim_.Run();
+  EXPECT_EQ(got, 1);
+  // ... and a tree may list its source among its leaves, or graft it later.
+  auto tree = net_.OpenMulticastVc(b_, {c_, b_});
+  ASSERT_TRUE(tree.has_value());
+  EXPECT_EQ(net_.McastLeafCount(tree->id), 2);
+  auto vc = net_.OpenVc(a_, c_);
+  ASSERT_TRUE(vc.has_value());
+  EXPECT_TRUE(net_.AddLeaf(vc->id, a_).has_value());
+  EXPECT_TRUE(net_.RemoveLeaf(vc->id, a_));
+  EXPECT_TRUE(net_.CloseVc(loop->id));
+  EXPECT_TRUE(net_.CloseVc(tree->id));
+  EXPECT_TRUE(net_.CloseVc(vc->id));
+  for (const auto& l : net_.links()) {
+    EXPECT_EQ(net_.ReservedBps(l.get()), 0) << l->name();
+  }
+}
+
+// Everything a refused open must leave as it found it: every switch's route
+// entries (probed over every port and the low VCIs a VC here can take), the
+// link ledger and per-link VC index, and the open-VC count.
+struct NetworkBooks {
+  std::vector<int> route_targets;
+  std::vector<int64_t> reserved;
+  std::vector<std::vector<VcId>> vcs_on_link;
+  int64_t open_vcs = 0;
+  bool operator==(const NetworkBooks& o) const {
+    return route_targets == o.route_targets && reserved == o.reserved &&
+           vcs_on_link == o.vcs_on_link && open_vcs == o.open_vcs;
+  }
+};
+
+NetworkBooks ReadBooks(const Network& net, const std::vector<Switch*>& switches) {
+  NetworkBooks books;
+  for (const Switch* sw : switches) {
+    for (int port = 0; port < sw->num_ports(); ++port) {
+      for (Vci vci = 0; vci < 64; ++vci) {
+        books.route_targets.push_back(sw->RouteTargetCount(port, vci));
+      }
+    }
+  }
+  for (const auto& l : net.links()) {
+    books.reserved.push_back(net.ReservedBps(l.get()));
+    books.vcs_on_link.push_back(net.VcsOnLink(l.get()));
+  }
+  books.open_vcs = net.open_vc_count();
+  return books;
+}
+
+TEST_F(NetworkFixture, RefusalOnLastSinkRollsTheWholeOpenBack) {
+  Endpoint* d = net_.AddEndpoint("d", sw2_, 1, 155'000'000);
+  // c's downlink is nearly full, so a tree whose LAST sink is c fails there
+  // after grafting b and d (d's graft charged the shared trunk).
+  auto hog = net_.OpenVc(d, c_, QosSpec{150'000'000});
+  ASSERT_TRUE(hog.has_value());
+  const NetworkBooks before = ReadBooks(net_, {sw1_, sw2_});
+  const int64_t bw_rejections = net_.admission_rejections_bandwidth();
+  EXPECT_FALSE(net_.OpenMulticastVc(a_, {b_, d, c_}, QosSpec{10'000'000}).has_value());
+  EXPECT_EQ(net_.admission_rejections_bandwidth(), bw_rejections + 1);
+  EXPECT_TRUE(ReadBooks(net_, {sw1_, sw2_}) == before);
+  // An unreachable last sink rolls back the same way.
+  Switch* island = net_.AddSwitch("island", 4);
+  Endpoint* far = net_.AddEndpoint("far", island, 0, 155'000'000);
+  const NetworkBooks before_island = ReadBooks(net_, {sw1_, sw2_, island});
+  EXPECT_FALSE(net_.OpenMulticastVc(a_, {d, b_, far}, QosSpec{10'000'000}).has_value());
+  EXPECT_TRUE(ReadBooks(net_, {sw1_, sw2_, island}) == before_island);
+  // Nothing leaked into the id sequence or the VCI allocators either: the
+  // next open gets the very next id, and the tree it builds carries cells.
+  auto next = net_.OpenMulticastVc(a_, {b_, d}, QosSpec{10'000'000});
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->id, hog->id + 1);
+  int got = 0;
+  MessageTransport dt(d);
+  dt.SetHandler(*net_.McastLeafVci(next->id, d),
+                [&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got; });
+  MessageTransport at(a_);
+  at.Send(next->source_vci, {3});
+  sim_.Run();
+  EXPECT_EQ(got, 1);
 }
 
 TEST_F(NetworkFixture, MulticastQosUpdateScalesWholeTreeOnce) {

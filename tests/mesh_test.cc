@@ -2,7 +2,8 @@
 // and legs of ONE pipeline contract — share a directed link. The hub
 // topologies of PegasusSystem never produce shared links; a triangle mesh
 // and a pipeline that revisits a workstation uplink do, which is exactly
-// what Network::PathLinks + the joint per-link admission pass exist for.
+// what Network::ResolveRoute's link sets + the joint per-link admission pass
+// exist for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,9 +43,21 @@ class MeshFixture : public ::testing::Test {
 
   // The directed inter-switch link sw1 -> sw2 (second hop of a -> c).
   atm::Link* Sw1ToSw2() {
-    auto links = network_.PathLinks(a_, c_);
-    EXPECT_TRUE(links.has_value());
-    return (*links)[1];
+    auto route = network_.ResolveRoute(a_, c_);
+    EXPECT_TRUE(route.has_value());
+    return route->links[1];
+  }
+
+  // The largest reservation src -> dst can still admit: the least headroom
+  // over the links of its route.
+  int64_t PathHeadroom(const atm::Endpoint* src, const atm::Endpoint* dst) {
+    auto route = network_.ResolveRoute(src, dst);
+    EXPECT_TRUE(route.has_value());
+    int64_t available = INT64_MAX;
+    for (const atm::Link* l : route->links) {
+      available = std::min(available, network_.AvailableBandwidth(l));
+    }
+    return available;
   }
 
   sim::Simulator sim_;
@@ -59,20 +72,20 @@ class MeshFixture : public ::testing::Test {
   atm::Endpoint* store_nic2_;
 };
 
-TEST_F(MeshFixture, PathLinksTakeTheDirectMeshEdge) {
+TEST_F(MeshFixture, RoutesTakeTheDirectMeshEdge) {
   // a(sw1) -> c(sw2): uplink, the direct sw1->sw2 edge, downlink — BFS does
   // not detour through sw3.
-  auto links = network_.PathLinks(a_, c_);
-  ASSERT_TRUE(links.has_value());
-  EXPECT_EQ(links->size(), 3u);
+  auto route = network_.ResolveRoute(a_, c_);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->links.size(), 3u);
   // Both a and b reach c over the same directed middle link.
-  auto links_b = network_.PathLinks(b_, c_);
-  ASSERT_TRUE(links_b.has_value());
-  EXPECT_EQ((*links)[1], (*links_b)[1]);
+  auto route_b = network_.ResolveRoute(b_, c_);
+  ASSERT_TRUE(route_b.has_value());
+  EXPECT_EQ(route->links[1], route_b->links[1]);
   // The reverse direction is a different link (directed accounting).
-  auto reverse = network_.PathLinks(c_, a_);
+  auto reverse = network_.ResolveRoute(c_, a_);
   ASSERT_TRUE(reverse.has_value());
-  EXPECT_NE((*links)[1], (*reverse)[1]);
+  EXPECT_NE(route->links[1], reverse->links[1]);
 }
 
 TEST_F(MeshFixture, SharedDirectedLinkAdmitsAndRejectsJointly) {
@@ -89,7 +102,7 @@ TEST_F(MeshFixture, SharedDirectedLinkAdmitsAndRejectsJointly) {
   EXPECT_FALSE(vc2.has_value());
   EXPECT_EQ(network_.admission_rejections(), rejections_before + 1);
   // ...and admits exactly the remainder.
-  EXPECT_EQ(network_.PathAvailableBps(b_, c_), 55'000'000);
+  EXPECT_EQ(PathHeadroom(b_, c_), 55'000'000);
   auto vc3 = network_.OpenVc(b_, c_, atm::QosSpec{55'000'000});
   ASSERT_TRUE(vc3.has_value());
   EXPECT_EQ(network_.AvailableBandwidth(shared), 0);
@@ -107,22 +120,22 @@ TEST_F(MeshFixture, DualHomedPathsAccountPerLink) {
   // node's first NIC; a's path to that home now has nothing left.
   auto vc1 = network_.OpenVc(b_, store_nic1_, atm::QosSpec{155'000'000});
   ASSERT_TRUE(vc1.has_value());
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic1_), 0);
+  EXPECT_EQ(PathHeadroom(a_, store_nic1_), 0);
 
   // The second home rides sw1->sw3: per-link (not per-node) accounting
   // leaves that path untouched, so the dual-homed node stays reachable at
   // full rate.
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic2_), 155'000'000);
+  EXPECT_EQ(PathHeadroom(a_, store_nic2_), 155'000'000);
   auto vc2 = network_.OpenVc(a_, store_nic2_, atm::QosSpec{155'000'000});
   ASSERT_TRUE(vc2.has_value());
 
   // Releasing both reservations restores both homes in full (a's own
   // uplink was the remaining constraint once vc2 held it).
   ASSERT_TRUE(network_.CloseVc(vc1->id));
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic1_), 0);  // vc2 holds a's uplink
+  EXPECT_EQ(PathHeadroom(a_, store_nic1_), 0);  // vc2 holds a's uplink
   ASSERT_TRUE(network_.CloseVc(vc2->id));
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic1_), 155'000'000);
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic2_), 155'000'000);
+  EXPECT_EQ(PathHeadroom(a_, store_nic1_), 155'000'000);
+  EXPECT_EQ(PathHeadroom(a_, store_nic2_), 155'000'000);
 }
 
 // --- system-level: two legs of ONE pipeline contract share a directed
@@ -265,8 +278,9 @@ TEST(DeterministicRouting, EqualCostDiamondPicksInsertionOrderGoldenRoute) {
   atm::Endpoint* a = net.AddEndpoint("a", hub, 2, 155'000'000);
   atm::Endpoint* d = net.AddEndpoint("d", sink, 2, 155'000'000);
 
-  auto links = net.PathLinks(a, d);
-  ASSERT_TRUE(links.has_value());
+  auto route = net.ResolveRoute(a, d);
+  ASSERT_TRUE(route.has_value());
+  const std::vector<atm::Link*>* links = &route->links;
   ASSERT_EQ(links->size(), 4u);
   // Golden route: through mid1 (lower switch id), regardless of the order
   // the mesh edges were wired or where the switches live on the heap.
@@ -275,9 +289,9 @@ TEST(DeterministicRouting, EqualCostDiamondPicksInsertionOrderGoldenRoute) {
 
   // A warmed cache returns the same resolution: cached routes inherit the
   // deterministic tie-break (the cache only memoises the BFS result).
-  auto again = net.PathLinks(a, d);
+  auto again = net.ResolveRoute(a, d);
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, *links);
+  EXPECT_EQ(again->links, *links);
 
   // And the installed VC rides the same golden links.
   auto vc = net.OpenVc(a, d, atm::QosSpec{1'000'000});
@@ -314,9 +328,8 @@ TEST(RouteCache, TopologyMutationInvalidatesWarmRoutes) {
   EXPECT_EQ(after->links[1]->name(), "sw1->sw3");
   EXPECT_LT(after->latency_ns, latency_before);
 
-  // A route resolved before the mutation carries a stale epoch; OpenVc must
-  // fall back to a fresh resolve and install over the NEW (shorter) path.
-  auto vc = net.OpenVc(a, d, atm::QosSpec{1'000'000}, *before);
+  // A VC opened after the mutation installs over the NEW (shorter) path.
+  auto vc = net.OpenVc(a, d, atm::QosSpec{1'000'000});
   ASSERT_TRUE(vc.has_value());
   const auto* vc_links = net.VcLinks(vc->id);
   ASSERT_NE(vc_links, nullptr);

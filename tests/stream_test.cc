@@ -374,6 +374,68 @@ TEST_F(StreamFixture, AddSinkAdmitsOnlyGraftPathAndRemoveSinkPrunes) {
   EXPECT_EQ(TotalReservedBps(), 0);
 }
 
+// Removing the first recording leaf must hand the session's control stream
+// and file() over to the next live recorder: index marks sent on
+// control_send_vci() afterwards land in the second recorder's file.
+TEST_F(StreamFixture, RemovingFirstRecorderMovesControlToTheNextRecorder) {
+  Workstation* src = system_.AddWorkstation("studio");
+  dev::AtmCamera::Config cfg;
+  cfg.width = 32;
+  cfg.height = 32;
+  dev::AtmCamera* camera = src->AddCamera(cfg);
+  pfs::PfsConfig pfs_cfg;
+  pfs_cfg.segment_size = 64 << 10;
+  pfs_cfg.block_size = 8 << 10;
+  pfs_cfg.geometry.capacity_bytes = 64 << 20;
+  StorageNode* first = system_.AddStorageServer(pfs_cfg, "pfs-a");
+  StorageNode* second = system_.AddStorageServer(pfs_cfg, "pfs-b");
+  MulticastSink rec_a;
+  rec_a.storage = first;
+  rec_a.record_stream_id = 1;
+  MulticastSink rec_b;
+  rec_b.storage = second;
+  rec_b.record_stream_id = 2;
+
+  auto r = system_.BuildStream("two-recorders")
+               .From(src, camera)
+               .ToMany({rec_a, rec_b})
+               .WithSpec(StreamSpec::Video(25, 1'000'000))
+               .Open();
+  ASSERT_TRUE(r.report.ok()) << r.report.detail;
+  StreamSession* session = r.session;
+  const atm::Vci first_control = session->control_send_vci();
+  ASSERT_NE(first_control, atm::kVciUnassigned);
+  camera->Start(session->source_vci());
+  sim_.RunUntil(Milliseconds(200));
+
+  ASSERT_TRUE(session->RemoveSink(first->endpoint()));
+  ASSERT_NE(session->control_send_vci(), atm::kVciUnassigned);
+  const pfs::FileId file = session->file();
+  ASSERT_GE(file, 0);
+  atm::MessageTransport* host_t = src->host_transport();
+  for (int i = 5; i < 10; ++i) {
+    sim_.ScheduleAt(i * Milliseconds(100), [host_t, session, i]() {
+      dev::ControlMessage mark;
+      mark.type = dev::ControlType::kSyncMark;
+      mark.stream_id = 2;
+      mark.media_ts = i * Milliseconds(100);
+      host_t->Send(session->control_send_vci(), mark.Serialize());
+    });
+  }
+  sim_.RunUntil(Seconds(1));
+  camera->Stop();
+  EXPECT_TRUE(second->server()->LookupIndex(file, Milliseconds(700)).has_value());
+
+  // With no recorder left there is no control stream to name.
+  ASSERT_TRUE(session->AddSink(MulticastSink{src, src->host()}).ok());
+  ASSERT_TRUE(session->RemoveSink(second->endpoint()));
+  EXPECT_EQ(session->control_send_vci(), atm::kVciUnassigned);
+  EXPECT_EQ(session->control_receive_vci(), atm::kVciUnassigned);
+  EXPECT_EQ(session->file(), -1);
+  session->Close();
+  EXPECT_EQ(TotalReservedBps(), 0);
+}
+
 TEST_F(StreamFixture, ToManyCounterOfferTakesTightestLeafHost) {
   Workstation* src = system_.AddWorkstation("head");
   Workstation* a = system_.AddWorkstation("a");
