@@ -15,16 +15,15 @@
 //   smoke [secs]     CI-sized run (2 aggregation switches, ~100 hosts);
 //                    exits non-zero if nothing was admitted
 //   snapshot         machine-readable JSON of the small/mid points
-//   shards [secs]    region-sharded PDES scaling: metro-large at 1/2/4/8
-//                    shards vs the single-simulator reference, JSON with
-//                    wall clocks and fingerprints (must be identical);
+//   shards [secs]    region-sharded PDES: metro-large at 1/2/4/8 shards
+//                    (windows run inline) vs the single-simulator reference,
+//                    JSON with wall clocks and fingerprints (must be identical);
 //                    exits non-zero on any fingerprint divergence
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -69,14 +68,14 @@ Point MakePoint(const std::string& name, scenario::TopologyParams topo, double a
 }
 
 // `shards` == 0 runs the classic single-simulator engine; > 0 partitions
-// the fabric by region across that many shards (threads 0 = auto).
-void RunPoint(Point* point, uint64_t seed, int shards = 0, int threads = 0,
+// the fabric by region across that many shards.
+void RunPoint(Point* point, uint64_t seed, int shards = 0,
               sim::ShardGroup::Stats* stats_out = nullptr) {
   sim::Simulator sim;
   core::PegasusSystem system(&sim);
   std::unique_ptr<sim::ShardGroup> group;
   if (shards > 0) {
-    group = std::make_unique<sim::ShardGroup>(&sim, sim::ShardGroup::Options{shards, threads});
+    group = std::make_unique<sim::ShardGroup>(&sim, sim::ShardGroup::Options{shards});
   }
   const scenario::MetroTopology topo =
       scenario::BuildMetroTopology(system, point->topo, group.get());
@@ -151,35 +150,28 @@ int RunSnapshot() {
   return 0;
 }
 
-// Region-sharded PDES scaling on the metro-large fabric: the
-// single-simulator reference, then 1/2/4/8 shards — each shard count both
-// pinned serial (threads=1, the pure window-machinery overhead) and with
-// auto threads (the speedup when cores exist). Parallelism must change wall
-// clock only — every fingerprint must equal the reference's. The JSON
-// records the host's hardware concurrency plus per-point window, sync,
-// hand-off and merge counters, so the scaling curve stays interpretable
-// when the artifact is read off a machine with real cores.
+// Region-sharded PDES on the metro-large fabric: the single-simulator
+// reference, then 1/2/4/8 shards, every window run inline — the wall clock
+// is the pure window-machinery overhead. Sharding must change wall clock
+// only — every fingerprint must equal the reference's. The JSON records the
+// host's hardware concurrency plus per-point window, sync, hand-off and
+// merge counters, so the wall clocks stay interpretable off this host.
 int RunShardScaling(int seconds) {
   struct ShardPoint {
-    int shards = 0;   // 0 = single-simulator reference
-    int threads = 0;  // 0 = auto (one per shard, capped at the hardware)
+    int shards = 0;  // 0 = single-simulator reference
     double wall_seconds = 0;
     uint64_t fingerprint = 0;
     sim::ShardGroup::Stats stats;
   };
   std::vector<ShardPoint> points;
-  for (const auto& [shards, threads] :
-       {std::pair<int, int>{0, 0}, {1, 1}, {2, 1}, {4, 1}, {8, 1}, {2, 0}, {4, 0}, {8, 0}}) {
+  for (int shards : {0, 1, 2, 4, 8}) {
     ShardPoint sp;
     sp.shards = shards;
-    sp.threads = threads;
-    points.push_back(sp);
-  }
-  for (auto& sp : points) {
     Point p = MakePoint("metro-large", Metro(3, 3, 4, 30), 400.0, seconds, 0.02);
-    RunPoint(&p, 16, sp.shards, sp.threads, &sp.stats);
+    RunPoint(&p, 16, sp.shards, &sp.stats);
     sp.wall_seconds = p.metrics.run_wall_seconds;
     sp.fingerprint = p.metrics.Fingerprint();
+    points.push_back(sp);
   }
 
   bool identical = true;
@@ -192,11 +184,11 @@ int RunShardScaling(int seconds) {
               seconds, std::thread::hardware_concurrency());
   for (size_t i = 0; i < points.size(); ++i) {
     const ShardPoint& sp = points[i];
-    std::printf("    {\"shards\": %d, \"threads\": %d, \"wall_seconds\": %.3f, "
+    std::printf("    {\"shards\": %d, \"wall_seconds\": %.3f, "
                 "\"speedup\": %.2f, \"windows\": %llu, \"sync_points\": %llu, "
                 "\"boundary_messages\": %llu, \"handoffs\": %llu, \"merges\": %llu, "
                 "\"fingerprint\": \"%llx\"}%s\n",
-                sp.shards, sp.threads, sp.wall_seconds,
+                sp.shards, sp.wall_seconds,
                 points[0].wall_seconds / sp.wall_seconds,
                 static_cast<unsigned long long>(sp.stats.windows),
                 static_cast<unsigned long long>(sp.stats.sync_points),
