@@ -154,8 +154,9 @@ int RunSnapshot() {
 // reference, then 1/2/4/8 shards, every window run inline — the wall clock
 // is the pure window-machinery overhead. Sharding must change wall clock
 // only — every fingerprint must equal the reference's. The JSON records the
-// host's hardware concurrency plus per-point window, sync, hand-off and
-// merge counters, so the wall clocks stay interpretable off this host.
+// host's hardware concurrency plus per-point window, sync-point and
+// boundary-message counters, so the wall clocks stay interpretable off this
+// host.
 int RunShardScaling(int seconds) {
   struct ShardPoint {
     int shards = 0;  // 0 = single-simulator reference
@@ -186,15 +187,12 @@ int RunShardScaling(int seconds) {
     const ShardPoint& sp = points[i];
     std::printf("    {\"shards\": %d, \"wall_seconds\": %.3f, "
                 "\"speedup\": %.2f, \"windows\": %llu, \"sync_points\": %llu, "
-                "\"boundary_messages\": %llu, \"handoffs\": %llu, \"merges\": %llu, "
-                "\"fingerprint\": \"%llx\"}%s\n",
+                "\"boundary_messages\": %llu, \"fingerprint\": \"%llx\"}%s\n",
                 sp.shards, sp.wall_seconds,
                 points[0].wall_seconds / sp.wall_seconds,
                 static_cast<unsigned long long>(sp.stats.windows),
                 static_cast<unsigned long long>(sp.stats.sync_points),
                 static_cast<unsigned long long>(sp.stats.messages),
-                static_cast<unsigned long long>(sp.stats.handoffs),
-                static_cast<unsigned long long>(sp.stats.merges),
                 static_cast<unsigned long long>(sp.fingerprint),
                 i + 1 < points.size() ? "," : "");
   }

@@ -243,8 +243,8 @@ BENCHMARK(BM_NameResolution)->Arg(1)->Arg(4)->Arg(16);
 // The conservative-window machinery of the region-sharded engine: K shards
 // in a boundary ring (5 us lookahead), each carrying a steady 1 MHz local
 // event load that occasionally crosses to its neighbour. Measures sharded
-// event throughput as the shard count grows: the window/merge overhead
-// curve against the 1-shard engine.
+// event throughput as the shard count grows: the window overhead curve
+// against the 1-shard engine.
 void BM_ShardRingWindows(benchmark::State& state) {
   const int kShards = static_cast<int>(state.range(0));
   sim::Simulator control;

@@ -1,7 +1,7 @@
 #include "src/atm/link.h"
 
 #include <algorithm>
-#include <type_traits>
+#include <utility>
 
 namespace pegasus::atm {
 
@@ -76,19 +76,6 @@ void Link::ArmDelivery() {
   sim_->ScheduleAt(train_[target].done, [this]() { DeliverReady(); });
 }
 
-void Link::DeliverBoundaryTrain(void* ctx, const void* data, size_t size) {
-  static_assert(std::is_trivially_copyable<Cell>::value,
-                "boundary trains cross the shard mailbox as raw bytes");
-  auto* sink = static_cast<CellSink*>(ctx);
-  const Cell* cells = static_cast<const Cell*>(data);
-  const size_t count = size / sizeof(Cell);
-  if (count == 1) {
-    sink->DeliverCell(cells[0]);
-  } else {
-    sink->DeliverBurst(cells, count);
-  }
-}
-
 void Link::DeliverReady() {
   delivery_pending_ = false;
   const sim::TimeNs now = sim_->now();
@@ -115,32 +102,30 @@ void Link::DeliverReady() {
       train_.erase(train_.begin(), train_.begin() + static_cast<ptrdiff_t>(train_head_));
       train_head_ = 0;
     }
-    if (boundary_ != nullptr) {
-      // Ship the train to the sink's shard, due one propagation delay out —
-      // exactly when the local path below would have delivered it. The cells
-      // are memcpy'd into the channel's window batch (one mailbox hand-off
-      // per channel per window), not captured per-train.
-      boundary_->PostSpan(now + prop_delay_, burst_buf_.data(), count * sizeof(Cell),
-                          &Link::DeliverBoundaryTrain, sink_);
-    } else if (sink_ != nullptr) {
-      if (prop_delay_ == 0) {
-        if (count == 1) {
-          sink_->DeliverCell(burst_buf_[0]);
-        } else {
-          sink_->DeliverBurst(burst_buf_.data(), count);
-        }
+    if (sink_ != nullptr && prop_delay_ == 0) {
+      // Never a boundary link: its propagation delay is its lookahead, and
+      // RegisterBoundary refuses a zero lookahead.
+      if (count == 1) {
+        sink_->DeliverCell(burst_buf_[0]);
       } else {
-        // The cut is made at serialisation completion; the wire adds pure
-        // delay. The train is moved into the event so later cuts (which
-        // rebuild burst_buf_) cannot clobber an in-flight delivery.
-        sim_->ScheduleAt(now + prop_delay_,
-                         [sink = sink_, flight = std::move(burst_buf_)]() {
-                           if (flight.size() == 1) {
-                             sink->DeliverCell(flight[0]);
-                           } else {
-                             sink->DeliverBurst(flight.data(), flight.size());
-                           }
-                         });
+        sink_->DeliverBurst(burst_buf_.data(), count);
+      }
+    } else if (sink_ != nullptr) {
+      // The cut is made at serialisation completion; the wire adds pure
+      // delay. The train is moved into the event so later cuts (which
+      // rebuild burst_buf_) cannot clobber an in-flight delivery. A boundary
+      // link schedules the same event on the sink's shard.
+      sim::Simulator::Handler deliver = [sink = sink_, flight = std::move(burst_buf_)]() {
+        if (flight.size() == 1) {
+          sink->DeliverCell(flight[0]);
+        } else {
+          sink->DeliverBurst(flight.data(), flight.size());
+        }
+      };
+      if (boundary_ != nullptr) {
+        boundary_->Post(now + prop_delay_, std::move(deliver));
+      } else {
+        sim_->ScheduleAt(now + prop_delay_, std::move(deliver));
       }
     }
   }

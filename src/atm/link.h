@@ -21,9 +21,11 @@
 // rather than completion-plus-propagation matters for determinism: a shard
 // boundary link's event cannot wait out the propagation delay (that delay
 // IS its conservative lookahead), so the cut must never depend on cells
-// sent during the propagation window. Admission (per-cell tail-drop), the
-// split drop counters, cells_sent, busy_time and the queue-occupancy view
-// are bit-identical to the per-cell path.
+// sent during the propagation window. A boundary link's delivery event is
+// the same closure, scheduled on the sink's shard through its
+// BoundaryChannel. Admission (per-cell tail-drop), the split drop counters,
+// cells_sent, busy_time and the queue-occupancy view are bit-identical to
+// the per-cell path.
 #ifndef PEGASUS_SRC_ATM_LINK_H_
 #define PEGASUS_SRC_ATM_LINK_H_
 
@@ -71,10 +73,10 @@ class Link {
 
   // Marks this link as a shard boundary (src/sim/shard.h): the sink lives
   // on another shard's simulator. Trains are cut at serialisation
-  // completion either way; a boundary link ships each train through
-  // `channel` timestamped `now + propagation_delay` instead of scheduling a
-  // local delivery event — identical delivery instants and grouping, with
-  // the propagation delay serving as the conservative lookahead window.
+  // completion either way, and each train's delivery event is the same
+  // closure due at `now + propagation_delay`; a boundary link schedules it
+  // through `channel` on the sink's shard instead of on its own simulator.
+  // The propagation delay serves as the conservative lookahead window.
   void SetBoundary(sim::BoundaryChannel* channel) { boundary_ = channel; }
   bool is_boundary() const { return boundary_ != nullptr; }
 
@@ -154,11 +156,6 @@ class Link {
 
   sim::Simulator* sim_;
   std::string name_;
-  // Destination-shard entry point for a boundary train shipped through
-  // BoundaryChannel::PostSpan: `ctx` is the CellSink, `data` the cell span
-  // copied into the channel's batch arena.
-  static void DeliverBoundaryTrain(void* ctx, const void* data, size_t size);
-
   int id_ = -1;
   int64_t bps_;
   sim::DurationNs prop_delay_;
@@ -182,8 +179,8 @@ class Link {
   bool delivery_pending_ = false;
   // Scratch the cut train is copied into, so a re-entrant SendCell from the
   // sink can grow train_ without invalidating the span being delivered. For
-  // a local link with nonzero propagation it is moved into the delayed
-  // delivery event instead (and rebuilt empty on the next cut).
+  // a link with nonzero propagation (every boundary link) it is moved into
+  // the delayed delivery event instead (and rebuilt empty on the next cut).
   std::vector<Cell> burst_buf_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace pegasus::sim {
 
@@ -22,13 +23,19 @@ TimeNs SaturatingAdd(TimeNs t, DurationNs d) {
 
 }  // namespace
 
-BoundaryChannel::Batch& BoundaryChannel::Staging() {
-  if (!staging_) {
-    staging_ = std::make_unique<Batch>();
-    staging_->channel = id_;
-    group_->dirty_.push_back(this);
+void BoundaryChannel::Post(TimeNs deliver_at, Simulator::Handler fn) {
+  // Under NDEBUG an assert would let ScheduleAt clamp an early posting to
+  // the destination's clock: it would run late and out of order.
+  if (deliver_at < src_sim_->now() + lookahead_) {
+    std::fprintf(stderr,
+                 "sim::BoundaryChannel::Post: deliver_at %lld is inside the lookahead "
+                 "(source now %lld + %lld)\n",
+                 static_cast<long long>(deliver_at), static_cast<long long>(src_sim_->now()),
+                 static_cast<long long>(lookahead_));
+    std::abort();
   }
-  return *staging_;
+  ++group_->stats_.messages;
+  dst_sim_->ScheduleAt(deliver_at, std::move(fn));
 }
 
 ShardGroup::ShardGroup(Simulator* control, Options options) : control_(control) {
@@ -41,9 +48,6 @@ ShardGroup::ShardGroup(Simulator* control, Options options) : control_(control) 
   next_times_.resize(static_cast<size_t>(count), kTimeNever);
   horizons_.resize(static_cast<size_t>(count), kTimeNever);
   modes_.resize(static_cast<size_t>(count), WindowMode::kSkip);
-  staged_.resize(static_cast<size_t>(count));
-  staged_min_.resize(static_cast<size_t>(count), kTimeNever);
-  pending_.resize(static_cast<size_t>(count));
 }
 
 int ShardGroup::shard_index(const Simulator* s) const {
@@ -68,8 +72,8 @@ BoundaryChannel* ShardGroup::RegisterBoundary(Simulator* src, Simulator* dst,
   if (lookahead <= 0) {
     FailRegisterBoundary("lookahead must be positive; zero would stall the window loop");
   }
-  channels_.push_back(std::unique_ptr<BoundaryChannel>(new BoundaryChannel(
-      this, src, src_idx, dst_idx, static_cast<uint32_t>(channels_.size()), lookahead)));
+  channels_.push_back(std::unique_ptr<BoundaryChannel>(
+      new BoundaryChannel(this, src, dst, lookahead)));
   min_lookahead_ = std::min(min_lookahead_, lookahead);
   // The destination's window bound only needs the tightest lookahead per
   // source shard, not one entry per parallel link.
@@ -91,20 +95,8 @@ BoundaryChannel* ShardGroup::RegisterBoundary(Simulator* src, Simulator* dst,
 TimeNs ShardGroup::SnapshotNextEvents() {
   TimeNs n = kTimeNever;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    // An unreleased boundary record IS a future event of its destination —
-    // whether it already crossed the mailbox (pending) or still sits in a
-    // source channel's staging batch (staged) — and must hold the window
-    // loop open and bound other shards' horizons exactly as a scheduled
-    // event would. The staged minimum is recomputed here because a staged
-    // channel keeps accumulating between snapshots.
-    TimeNs smin = kTimeNever;
-    for (const BoundaryChannel* c : staged_[i]) {
-      smin = std::min(smin, c->staging_min_);
-    }
-    staged_min_[i] = smin;
-    const TimeNs t = std::min({shards_[i]->NextEventTime(), pending_[i].min_deliver, smin});
-    next_times_[i] = t;
-    n = std::min(n, t);
+    next_times_[i] = shards_[i]->NextEventTime();
+    n = std::min(n, next_times_[i]);
   }
   return n;
 }
@@ -133,7 +125,6 @@ void ShardGroup::PlanWindow(TimeNs limit, bool inclusive) {
       }
     }
   }
-  bool merged = false;
   for (size_t i = 0; i < shards_.size(); ++i) {
     // A shard whose neighbours (and their transitive feeders) are quiet
     // still runs straight to the sync point regardless of how small some
@@ -143,16 +134,6 @@ void ShardGroup::PlanWindow(TimeNs limit, bool inclusive) {
       horizon = std::min(horizon,
                          SaturatingAdd(effective_[static_cast<size_t>(b.src)], b.lookahead));
     }
-    // Everything bound for this shard below its horizon has already been
-    // posted (the sources could not emit it later without violating their
-    // lookahead), so the release is complete per delivery instant: pull the
-    // staged batches the horizon now needs across the mailbox, then
-    // schedule every covered record.
-    if (staged_min_[i] < horizon) {
-      CollectStaged(i, horizon);
-      merged = true;
-    }
-    ReleasePending(i, horizon);
     WindowMode mode = WindowMode::kSkip;
     TimeNs target;
     if (inclusive && horizon > limit) {
@@ -172,115 +153,10 @@ void ShardGroup::PlanWindow(TimeNs limit, bool inclusive) {
     horizons_[i] = target;
     modes_[i] = mode;
   }
-  if (merged) {
-    ++stats_.merges;
-  }
-}
-
-void ShardGroup::StageOutboxes() {
-  // O(channels newly dirtied): a channel lands on its destination's staged
-  // list the first time it posts into a fresh batch and stays there — batch
-  // still accumulating — until CollectStaged pulls it across. A pass with
-  // zero new boundary traffic falls straight through.
-  for (BoundaryChannel* c : dirty_) {
-    staged_[static_cast<size_t>(c->dst_)].push_back(c);
-  }
-  dirty_.clear();
-}
-
-void ShardGroup::CollectStaged(size_t d, TimeNs bound) {
-  // The swap itself: each covered channel's whole staging batch is moved —
-  // one pointer swap — out of the channel, and its records indexed into the
-  // destination's pending queue. Channels whose earliest record the horizon
-  // does not reach keep accumulating: that deferral is what lets one
-  // hand-off carry several windows' worth of trains.
-  auto& list = staged_[d];
-  TimeNs remaining_min = kTimeNever;
-  size_t kept = 0;
-  for (BoundaryChannel* c : list) {
-    if (c->staging_min_ >= bound) {
-      remaining_min = std::min(remaining_min, c->staging_min_);
-      list[kept++] = c;
-      continue;
-    }
-    std::shared_ptr<BoundaryChannel::Batch> batch(c->staging_.release());
-    c->staging_min_ = kTimeNever;
-    PendingQueue& q = pending_[d];
-    const uint32_t channel = c->id_;
-    for (uint32_t k = 0; k < batch->spans.size(); ++k) {
-      const BoundaryChannel::SpanRecord& r = batch->spans[k];
-      q.min_deliver = std::min(q.min_deliver, r.deliver_at);
-      q.items.push_back(PendingRecord{r.deliver_at, r.order, channel, k, true, batch});
-    }
-    for (uint32_t k = 0; k < batch->posts.size(); ++k) {
-      const BoundaryChannel::PostRecord& r = batch->posts[k];
-      q.min_deliver = std::min(q.min_deliver, r.deliver_at);
-      q.items.push_back(PendingRecord{r.deliver_at, r.order, channel, k, false, batch});
-    }
-    ++stats_.handoffs;
-  }
-  list.resize(kept);
-  staged_min_[d] = remaining_min;
-}
-
-void ShardGroup::ReleasePending(size_t d, TimeNs bound) {
-  PendingQueue& q = pending_[d];
-  if (q.min_deliver >= bound) {
-    return;
-  }
-  if (q.sorted_end < q.items.size()) {
-    // Deterministic merge: delivery time first, then channel registration
-    // order, then per-channel emission order — a total order independent of
-    // partitioning and staging order. (The key is unique: emission order is
-    // monotone per channel.)
-    std::sort(q.items.begin() + static_cast<ptrdiff_t>(q.head), q.items.end(),
-              [](const PendingRecord& a, const PendingRecord& b) {
-                if (a.deliver_at != b.deliver_at) {
-                  return a.deliver_at < b.deliver_at;
-                }
-                if (a.channel != b.channel) {
-                  return a.channel < b.channel;
-                }
-                return a.order < b.order;
-              });
-    q.sorted_end = q.items.size();
-  }
-  Simulator* shard = shards_[d].get();
-  while (q.head < q.items.size() && q.items[q.head].deliver_at < bound) {
-    PendingRecord& item = q.items[q.head];
-    if (item.is_span) {
-      // The delivery event shares ownership of the batch: payload bytes
-      // stay in the arena until the last delivery from it has run.
-      shard->ScheduleAt(item.deliver_at,
-                        [batch = std::move(item.batch), idx = item.index]() {
-                          const BoundaryChannel::SpanRecord& r = batch->spans[idx];
-                          r.fn(r.ctx, batch->arena.data() + r.offset, r.size);
-                        });
-    } else {
-      shard->ScheduleAt(item.deliver_at, std::move(item.batch->posts[item.index].fn));
-      item.batch.reset();
-    }
-    ++q.head;
-    ++stats_.messages;
-  }
-  if (q.head == q.items.size()) {
-    q.items.clear();
-    q.head = 0;
-    q.sorted_end = 0;
-  } else if (q.head * 2 >= q.items.size()) {
-    q.items.erase(q.items.begin(), q.items.begin() + static_cast<ptrdiff_t>(q.head));
-    q.sorted_end -= q.head;
-    q.head = 0;
-  }
-  q.min_deliver = q.head < q.items.size() ? q.items[q.head].deliver_at : kTimeNever;
 }
 
 void ShardGroup::AdvanceShards(TimeNs limit, bool inclusive) {
   for (;;) {
-    // Stage first so the snapshot sees everything posted since the last
-    // pass — the previous window's trains, and posts made outside any
-    // window (control-batch code driving a boundary link directly).
-    StageOutboxes();
     const TimeNs n = SnapshotNextEvents();
     if (n > limit || (!inclusive && n == limit)) {
       break;

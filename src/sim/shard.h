@@ -18,23 +18,17 @@
 // adjacent only to wide channels never crawls at the group-wide minimum.
 // Every window runs on the calling thread, one shard after another.
 //
-// Cross-shard traffic crosses through per-channel mailboxes, batched and
-// DEFERRED: the trains a channel posts accumulate in a shard-local staging
-// batch (records + one byte arena, no per-train allocation) across as many
-// windows as the destination's horizon allows, and the batch crosses the
-// mailbox as a single two-buffer swap only when the horizon first covers
-// one of its records — one hand-off per (channel, catch-up), not one per
-// train or even one per window. Windows with zero boundary traffic skip
-// the merge pass entirely.
-// Received records then wait in a per-destination pending queue and are
-// scheduled only once the destination's horizon passes their delivery
-// time. That release discipline is what keeps the merge deterministic
-// UNDER per-shard horizons: the conservative invariant guarantees every
-// record bound for time T has crossed the mailbox before any horizon
-// exceeds T, so all records for one (destination, T) are released in the
-// same batch, in (delivery time, channel registration order, emission
-// order) order — a total order independent of how regions were
-// partitioned.
+// A boundary posting is scheduled straight onto the destination shard's
+// simulator at its delivery time. With effective(src) the source's next
+// event relaxed over the channel graph (see PlanWindow), the posting can
+// never land in the destination's past, whichever shard runs first in a
+// window:
+//
+//     deliver_at >= now(src) + L >= effective(src) + L >= horizon(dst)
+//                >= now(dst)
+//
+// The same holds for a post made by control code, because every shard is
+// parked at the control timestamp t and deliver_at >= t + L.
 //
 // One external `Simulator` (typically the PegasusSystem clock) acts as the
 // CONTROL shard: its events — workload arrivals, admission, QoS-monitor
@@ -49,10 +43,7 @@
 #ifndef PEGASUS_SRC_SIM_SHARD_H_
 #define PEGASUS_SRC_SIM_SHARD_H_
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -63,96 +54,28 @@ namespace pegasus::sim {
 
 class ShardGroup;
 
-// The outbox of one directed boundary link. The source shard posts
-// timestamped work while it executes windows; the postings accumulate in a
-// staging batch that crosses the mailbox as a single swap only once the
-// destination's horizon needs its earliest record — typically several
-// windows' worth of trains per swap. Channels are created by
+// One directed boundary link. Channels are created by
 // ShardGroup::RegisterBoundary and owned by the group.
 class BoundaryChannel {
  public:
-  // Delivers a span previously posted with PostSpan. `data` points into the
-  // batch arena and is valid only for the duration of the call.
-  using SpanDeliverFn = void (*)(void* ctx, const void* data, size_t size);
-
-  // Called from the source shard's event handlers only. `deliver_at` must
-  // honour the channel's registered lookahead (emission time + at least the
-  // link propagation delay); the conservative window invariant depends on
-  // it.
-  void Post(TimeNs deliver_at, Simulator::Handler fn) {
-    assert(deliver_at >= src_sim_->now() + lookahead_);
-    Batch& b = Staging();
-    staging_min_ = std::min(staging_min_, deliver_at);
-    b.posts.push_back(PostRecord{deliver_at, next_order_++, std::move(fn)});
-  }
-
-  // Batched variant for POD payloads (the data plane's cell trains): the
-  // bytes are copied into the channel's window arena — no per-train
-  // allocation, no Handler construction — and `fn(ctx, bytes, size)` runs
-  // on the destination shard at `deliver_at`. Same lookahead contract as
-  // Post.
-  void PostSpan(TimeNs deliver_at, const void* data, size_t size, SpanDeliverFn fn, void* ctx) {
-    assert(deliver_at >= src_sim_->now() + lookahead_);
-    Batch& b = Staging();
-    staging_min_ = std::min(staging_min_, deliver_at);
-    const size_t offset =
-        (b.arena.size() + alignof(std::max_align_t) - 1) & ~(alignof(std::max_align_t) - 1);
-    b.arena.resize(offset + size);
-    std::memcpy(b.arena.data() + offset, data, size);
-    b.spans.push_back(SpanRecord{deliver_at, next_order_++, fn, ctx,
-                                 static_cast<uint32_t>(offset), static_cast<uint32_t>(size)});
-  }
-
-  int source_shard() const { return src_; }
-  int destination_shard() const { return dst_; }
-  DurationNs lookahead() const { return lookahead_; }
+  // Schedules `fn` on the destination shard at `deliver_at`. Called from the
+  // source shard's event handlers, or from control code at a sync point.
+  // `deliver_at` must honour the channel's lookahead (emission time + at
+  // least the link propagation delay): the conservative window invariant
+  // depends on it, so a violation aborts with a message in every build
+  // type rather than run late and out of order.
+  void Post(TimeNs deliver_at, Simulator::Handler fn);
 
  private:
   friend class ShardGroup;
-  struct SpanRecord {
-    TimeNs deliver_at;
-    uint64_t order;  // per-channel emission order (monotone across windows)
-    SpanDeliverFn fn;
-    void* ctx;
-    uint32_t offset;  // into the batch arena
-    uint32_t size;
-  };
-  struct PostRecord {
-    TimeNs deliver_at;
-    uint64_t order;
-    Simulator::Handler fn;
-  };
-  // One window's postings on one channel: the unit that crosses the
-  // mailbox. Span payload bytes live in `arena`; the records index into it.
-  // Destination-side, the batch is shared by the per-delivery events and
-  // freed when the last one has run.
-  struct Batch {
-    uint32_t channel = 0;
-    std::vector<SpanRecord> spans;
-    std::vector<PostRecord> posts;
-    std::vector<unsigned char> arena;
-  };
 
-  BoundaryChannel(ShardGroup* group, Simulator* src_sim, int src, int dst, uint32_t id,
-                  DurationNs lookahead)
-      : group_(group), src_sim_(src_sim), src_(src), dst_(dst), id_(id), lookahead_(lookahead) {}
-
-  // The batch being filled this window; allocated lazily so quiet channels
-  // cost nothing, and registered dirty with the group on first use.
-  Batch& Staging();
+  BoundaryChannel(ShardGroup* group, Simulator* src_sim, Simulator* dst_sim, DurationNs lookahead)
+      : group_(group), src_sim_(src_sim), dst_sim_(dst_sim), lookahead_(lookahead) {}
 
   ShardGroup* group_;
   Simulator* src_sim_;
-  int src_;
-  int dst_;
-  uint32_t id_;  // registration order; merge tie-breaker across channels
+  Simulator* dst_sim_;
   DurationNs lookahead_;
-  uint64_t next_order_ = 0;
-  std::unique_ptr<Batch> staging_;
-  // Earliest deliver_at in staging_; kTimeNever when staging_ is empty.
-  // Written by the source shard during a window, read between windows to
-  // decide when the batch must cross.
-  TimeNs staging_min_ = kTimeNever;
 };
 
 class ShardGroup {
@@ -168,12 +91,12 @@ class ShardGroup {
   struct Stats {
     uint64_t windows = 0;      // conservative windows executed
     uint64_t sync_points = 0;  // control-batch quiesce points
-    uint64_t messages = 0;     // boundary records delivered (spans + posts)
-    uint64_t handoffs = 0;     // staging-batch swaps across the mailbox; deferral makes
-                               // one swap carry every train staged since the
-                               // destination last caught up
-    uint64_t merges = 0;       // windows that pulled at least one batch across
-                               // (zero-traffic windows skip the merge pass)
+    uint64_t messages = 0;     // boundary posts, counted when posted
+    // Always zero: boundary posts are scheduled directly, so nothing is
+    // handed off or merged. The fields remain only because
+    // perfbench/harness.cc reads them, like Options::threads.
+    uint64_t handoffs = 0;
+    uint64_t merges = 0;
   };
 
   // `control` is the externally owned control simulator (see the class
@@ -231,28 +154,12 @@ class ShardGroup {
   // (`inclusive` widens that to "at or before"), then parks every shard
   // clock at `limit`.
   void AdvanceShards(TimeNs limit, bool inclusive);
-  // Fills next_times_ with every shard's earliest pending work — scheduled
-  // events and unreleased boundary records both — and returns the minimum.
+  // Fills next_times_ with every shard's earliest pending event and returns
+  // the minimum.
   TimeNs SnapshotNextEvents();
-  // Computes per-shard horizons/modes for one window from the next_times_
-  // snapshot and releases every pending boundary record the new horizons
-  // cover.
+  // Computes per-shard horizons and modes for one window from the
+  // next_times_ snapshot.
   void PlanWindow(TimeNs limit, bool inclusive);
-  // Moves channels that posted since the last call onto their destination's
-  // staged list (no swap yet — the batch keeps accumulating until a horizon
-  // needs it). O(channels newly dirtied); a window with zero boundary
-  // traffic falls straight through.
-  void StageOutboxes();
-  // Swaps every staged channel of shard d whose earliest record the new
-  // horizon covers, indexing its records into d's pending queue. Deferring
-  // the swap to this point lets one hand-off carry every window's trains
-  // accumulated since the destination last caught up.
-  void CollectStaged(size_t d, TimeNs bound);
-  // Schedules every pending record for shard d with deliver_at < bound, in
-  // the deterministic (deliver_at, channel registration, emission order)
-  // merge. The caller passes the shard's window horizon: by the invariant
-  // above, every record with deliver_at below it has already arrived.
-  void ReleasePending(size_t d, TimeNs bound);
 
   Simulator* control_;
   std::vector<std::unique_ptr<Simulator>> shards_;
@@ -278,37 +185,6 @@ class ShardGroup {
   std::vector<TimeNs> effective_;
   std::vector<TimeNs> horizons_;
   std::vector<WindowMode> modes_;
-
-  // Channels that posted something since the last StageOutboxes.
-  std::vector<BoundaryChannel*> dirty_;
-  // Dirty channels re-grouped by DESTINATION, plus the earliest staged
-  // deliver_at per destination. A channel sits here — its staging batch
-  // still accumulating — until the destination's horizon first covers one
-  // of its records; only then does the batch cross the mailbox.
-  std::vector<std::vector<BoundaryChannel*>> staged_;
-  std::vector<TimeNs> staged_min_;
-
-  // One received-but-unreleased boundary record. The shared batch keeps the
-  // payload arena (and the posts' handlers) alive until the last delivery
-  // from it has run.
-  struct PendingRecord {
-    TimeNs deliver_at;
-    uint64_t order;
-    uint32_t channel;
-    uint32_t index;
-    bool is_span;
-    std::shared_ptr<BoundaryChannel::Batch> batch;
-  };
-  // Per-destination holding area. Records append raw at collect time; the
-  // release pass sorts the unreleased tail on demand and consumes a prefix,
-  // compacting amortised O(1) per record.
-  struct PendingQueue {
-    std::vector<PendingRecord> items;
-    size_t head = 0;        // items before head are released
-    size_t sorted_end = 0;  // items[head, sorted_end) are sorted; the rest raw
-    TimeNs min_deliver = kTimeNever;
-  };
-  std::vector<PendingQueue> pending_;
 };
 
 }  // namespace pegasus::sim

@@ -51,21 +51,28 @@ TEST(ShardGroupTest, WindowsInterleaveShardAndControlEventsInTimeOrder) {
     ab->Post(a->now() + 10, [&]() { log.emplace_back(2, b->now()); });
   });
   b->ScheduleAt(12, [&]() { log.emplace_back(1, b->now()); });
-  control.ScheduleAt(20, [&]() { log.emplace_back(3, control.now()); });
+  // Control code posting on a boundary channel: the source shard is parked
+  // at the control timestamp, so the train is due exactly one lookahead
+  // later — at the RunUntil limit, which is inclusive.
+  control.ScheduleAt(20, [&]() {
+    log.emplace_back(3, control.now());
+    ab->Post(a->now() + 10, [&]() { log.emplace_back(4, b->now()); });
+  });
 
   group.RunUntil(30);
 
-  ASSERT_EQ(log.size(), 4u);
+  ASSERT_EQ(log.size(), 5u);
   EXPECT_EQ(log[0], (std::pair<int, sim::TimeNs>{0, 5}));
   EXPECT_EQ(log[1], (std::pair<int, sim::TimeNs>{1, 12}));
   EXPECT_EQ(log[2], (std::pair<int, sim::TimeNs>{2, 15}));
   EXPECT_EQ(log[3], (std::pair<int, sim::TimeNs>{3, 20}));
+  EXPECT_EQ(log[4], (std::pair<int, sim::TimeNs>{4, 30}));
   EXPECT_EQ(a->now(), 30);
   EXPECT_EQ(b->now(), 30);
   EXPECT_EQ(control.now(), 30);
   EXPECT_GE(group.stats().windows, 1u);
   EXPECT_EQ(group.stats().sync_points, 1u);
-  EXPECT_EQ(group.stats().messages, 1u);
+  EXPECT_EQ(group.stats().messages, 2u);
 }
 
 TEST(ShardGroupTest, EventsAtRunUntilLimitExecute) {
@@ -290,9 +297,9 @@ TEST(ShardGroupTest, AsymmetricLookaheadTortureMatchesSingleSimulatorBitForBit) 
   }
 }
 
-// A registered channel that carries nothing must cost nothing at the merge:
-// windows tick, the merge pass doesn't.
-TEST(ShardGroupTest, ZeroBoundaryTrafficWindowsSkipMergePass) {
+// A registered channel that carries nothing counts no messages while
+// windows tick; one post counts exactly one.
+TEST(ShardGroupTest, BoundaryMessagesCountOnlyPosts) {
   sim::Simulator control;
   sim::ShardGroup group(&control, {/*shards=*/2});
   sim::Simulator* a = group.shard(0);
@@ -315,20 +322,15 @@ TEST(ShardGroupTest, ZeroBoundaryTrafficWindowsSkipMergePass) {
   group.RunUntil(10'000);
 
   EXPECT_GT(group.stats().windows, 0u);
-  EXPECT_EQ(group.stats().merges, 0u);
-  EXPECT_EQ(group.stats().handoffs, 0u);
   EXPECT_EQ(group.stats().messages, 0u);
 
-  // Positive control: one post makes exactly one hand-off and one merged
-  // window.
+  // Positive control: one post counts one message.
   int delivered = 0;
   a->ScheduleAt(10'050, [&]() {
     ab->Post(a->now() + 100, [&]() { ++delivered; });
   });
   group.RunUntil(20'000);
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(group.stats().handoffs, 1u);
-  EXPECT_EQ(group.stats().merges, 1u);
   EXPECT_EQ(group.stats().messages, 1u);
 }
 
@@ -502,7 +504,9 @@ TEST(ShardGroupTest, ShardedFleetActuallyCrossesBoundaries) {
 // A zero-lookahead channel gives its destination a horizon equal to the
 // source's next event, so no window makes progress. RegisterBoundary must
 // refuse it — and a foreign or repeated simulator — in every build type,
-// NDEBUG included, rather than hang or index out of range later.
+// NDEBUG included, rather than hang or index out of range later. A post
+// inside its channel's lookahead must abort too, rather than be clamped to
+// the destination's clock and run late and out of order.
 TEST(ShardGroupDeathTest, InvalidBoundaryAbortsInEveryBuildType) {
   EXPECT_DEATH(
       {
@@ -542,6 +546,16 @@ TEST(ShardGroupDeathTest, InvalidBoundaryAbortsInEveryBuildType) {
         group.RegisterBoundary(group.shard(1), group.shard(1), /*lookahead=*/10);
       },
       "must be different shards");
+  EXPECT_DEATH(
+      {
+        sim::Simulator control;
+        sim::ShardGroup group(&control, {/*shards=*/2});
+        sim::Simulator* a = group.shard(0);
+        sim::BoundaryChannel* ab = group.RegisterBoundary(a, group.shard(1), /*lookahead=*/10);
+        a->ScheduleAt(5, [&]() { ab->Post(a->now() + 9, []() {}); });
+        group.RunUntil(30);
+      },
+      "inside the lookahead");
 }
 
 // --- Per-purpose RNG streams ----------------------------------------------

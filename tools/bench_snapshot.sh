@@ -11,10 +11,12 @@
 # and the admission-plane snapshot as BENCH_07.json (open/renegotiate/close
 # contract-churn ops/s plus metro admission latencies and fleet
 # fingerprints, from bench_e17_contract_churn), and the region-sharded PDES
-# snapshot as BENCH_08.json (metro-large wall clocks, window counters and
-# fingerprints at 1/2/4/8 shards, every window run inline, vs the
-# single-simulator reference, from `bench_e16_metro_scale shards` —
-# identical fingerprints are enforced),
+# snapshot as BENCH_08.json (metro-large wall clocks, window, sync-point and
+# boundary-message counters and fingerprints at 1/2/4/8 shards, every window
+# run inline, vs the single-simulator reference, from
+# `bench_e16_metro_scale shards` — identical fingerprints are enforced; there
+# are no hand-off or merge counters, because a boundary post is scheduled
+# straight onto its destination shard),
 # and the broadcast fan-out snapshot as BENCH_09.json (viewer sweep with
 # measured cell-hops vs the per-viewer unicast baseline and per-edge
 # reservations, from bench_e18_broadcast — the O(tree edges) acceptance is
