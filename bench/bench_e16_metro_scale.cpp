@@ -44,6 +44,10 @@ struct Point {
   scenario::FleetMetrics metrics;
   int switches = 0;
   int hosts = 0;
+  // Simulator events run, over the control simulator and every shard, and
+  // how many of them ran from lanes (link and fabric transit).
+  uint64_t events = 0;
+  uint64_t lane_events = 0;
 };
 
 scenario::TopologyParams Metro(int cores, int aggs, int edges, int hosts) {
@@ -90,6 +94,12 @@ void RunPoint(Point* point, uint64_t seed, int shards = 0,
   w.enable_qos_monitor = true;
   scenario::ScenarioEngine engine(&system, &topo, w);
   point->metrics = engine.Run(Seconds(point->seconds));
+  point->events = sim.executed();
+  point->lane_events = sim.lane_events();
+  for (int i = 0; group != nullptr && i < group->shard_count(); ++i) {
+    point->events += group->shard(i)->executed();
+    point->lane_events += group->shard(i)->lane_events();
+  }
   if (stats_out != nullptr && group != nullptr) {
     *stats_out = group->stats();
   }
@@ -102,7 +112,9 @@ void AddRow(sim::Table* table, const Point& p) {
                  sim::Table::Int(m.admitted), sim::Table::Percent(m.blocking_probability()),
                  sim::Table::Int(m.peak_concurrent), sim::Table::Num(m.mean_admit_wall_us(), 1),
                  sim::Table::Num(m.mean_convergence_ms(), 0),
-                 sim::Table::Num(m.cells_per_wall_second() / 1e6, 2)});
+                 sim::Table::Num(m.cells_per_wall_second() / 1e6, 2),
+                 sim::Table::Int(static_cast<int64_t>(p.events)),
+                 sim::Table::Int(static_cast<int64_t>(p.lane_events))});
 }
 
 int RunSmoke(int seconds) {
@@ -110,8 +122,9 @@ int RunSmoke(int seconds) {
   p.topo.storage_per_core = 1;
   RunPoint(&p, 16);
   const scenario::FleetMetrics& m = p.metrics;
-  std::printf("smoke: %d switches, %d hosts, %d s\n%s\n", p.switches, p.hosts, p.seconds,
-              m.Summary().c_str());
+  std::printf("smoke: %d switches, %d hosts, %d s, %llu events (%llu from lanes)\n%s\n",
+              p.switches, p.hosts, p.seconds, static_cast<unsigned long long>(p.events),
+              static_cast<unsigned long long>(p.lane_events), m.Summary().c_str());
   const bool ok = m.admitted > 0 && m.departed > 0 && m.link_cells_sent > 0 &&
                   m.records_played > 0;
   bench::PrintVerdict(ok, ok ? "metro smoke fleet admitted, moved cells and churned sessions"
@@ -127,12 +140,15 @@ void PrintJson(const std::vector<Point>& points) {
                 "\"arrivals_per_sec\": %.0f, \"arrivals\": %lld, \"admitted\": %lld, "
                 "\"blocking_probability\": %.4f, \"peak_concurrent\": %lld, "
                 "\"admit_mean_us\": %.2f, \"convergence_ms\": %.1f, "
-                "\"cells_per_wall_second\": %.0f, \"fingerprint\": \"%llx\"}%s\n",
+                "\"cells_per_wall_second\": %.0f, \"events\": %llu, \"lane_events\": %llu, "
+                "\"fingerprint\": \"%llx\"}%s\n",
                 points[i].name.c_str(), points[i].switches, points[i].hosts,
                 points[i].arrivals_per_sec, static_cast<long long>(m.arrivals),
                 static_cast<long long>(m.admitted), m.blocking_probability(),
                 static_cast<long long>(m.peak_concurrent), m.mean_admit_wall_us(),
                 m.mean_convergence_ms(), m.cells_per_wall_second(),
+                static_cast<unsigned long long>(points[i].events),
+                static_cast<unsigned long long>(points[i].lane_events),
                 static_cast<unsigned long long>(m.Fingerprint()),
                 i + 1 < points.size() ? "," : "");
   }
@@ -229,7 +245,7 @@ int main(int argc, char** argv) {
     RunPoint(&p, 16);
   }
   sim::Table t1({"point", "switches", "hosts", "arr/s", "arrivals", "admitted", "blocking",
-                 "peak", "admit us", "conv ms", "Mcell/s"});
+                 "peak", "admit us", "conv ms", "Mcell/s", "events", "lane events"});
   for (const auto& p : scale) {
     AddRow(&t1, p);
   }
@@ -246,7 +262,7 @@ int main(int argc, char** argv) {
     RunPoint(&p, 16);
   }
   sim::Table t2({"point", "switches", "hosts", "arr/s", "arrivals", "admitted", "blocking",
-                 "peak", "admit us", "conv ms", "Mcell/s"});
+                 "peak", "admit us", "conv ms", "Mcell/s", "events", "lane events"});
   for (const auto& p : load) {
     AddRow(&t2, p);
   }

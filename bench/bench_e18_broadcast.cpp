@@ -70,6 +70,8 @@ struct SweepPoint {
   int64_t granted_bps = 0;
   bool edges_single_reserved = true;  // every tree edge carries ONE stream
   bool drained = true;
+  uint64_t events = 0;       // simulator events run over the whole point
+  uint64_t lane_events = 0;  // of which from lanes (link and fabric transit)
 
   double ratio() const {
     return mcast_cells > 0 ? static_cast<double>(unicast_cells) / static_cast<double>(mcast_cells)
@@ -204,6 +206,8 @@ void RunPoint(SweepPoint* p) {
       break;
     }
   }
+  p->events = sim.executed();
+  p->lane_events = sim.lane_events();
 }
 
 void AddRow(sim::Table* table, const SweepPoint& p) {
@@ -213,7 +217,9 @@ void AddRow(sim::Table* table, const SweepPoint& p) {
                  sim::Table::Num(p.ratio(), 1),
                  sim::Table::Num(p.mcast_cells_per_delivered_frame(), 2),
                  sim::Table::Num(p.unicast_cells_per_delivered_frame(), 1),
-                 sim::Table::Num(static_cast<double>(p.trunk_reserved_bps) / 1e6, 1)});
+                 sim::Table::Num(static_cast<double>(p.trunk_reserved_bps) / 1e6, 1),
+                 sim::Table::Int(static_cast<int64_t>(p.events)),
+                 sim::Table::Int(static_cast<int64_t>(p.lane_events))});
 }
 
 std::vector<SweepPoint> MidSweep(int seconds) {
@@ -250,11 +256,14 @@ int RunSmoke(int seconds) {
   p.seconds = std::max(1, seconds / 2);
   RunPoint(&p);
   std::printf("smoke: %d viewers on %d access links, tree %d edges: %llu cell-hops vs "
-              "%llu unicast baseline (%.1fx), trunk reserved %.1f Mb/s, drained: %s\n",
+              "%llu unicast baseline (%.1fx), trunk reserved %.1f Mb/s, drained: %s, "
+              "%llu events (%llu from lanes)\n",
               p.viewers, p.leaf_hosts, p.tree_edges,
               static_cast<unsigned long long>(p.mcast_cells),
               static_cast<unsigned long long>(p.unicast_cells), p.ratio(),
-              static_cast<double>(p.trunk_reserved_bps) / 1e6, p.drained ? "yes" : "NO");
+              static_cast<double>(p.trunk_reserved_bps) / 1e6, p.drained ? "yes" : "NO",
+              static_cast<unsigned long long>(p.events),
+              static_cast<unsigned long long>(p.lane_events));
   const bool ok = p.frames > 0 && p.mcast_cells > 0 && p.ratio() >= 5.0 &&
                   p.edges_single_reserved && p.trunk_reserved_bps == p.granted_bps && p.drained;
   bench::PrintVerdict(ok,
@@ -279,14 +288,16 @@ int RunSnapshot() {
                 "\"mcast_cells_per_delivered_frame\": %.3f, "
                 "\"unicast_cells_per_delivered_frame\": %.1f, "
                 "\"trunk_reserved_bps\": %lld, \"granted_bps\": %lld, "
-                "\"edges_single_reserved\": %s, \"ledger_drained\": %s}%s\n",
+                "\"edges_single_reserved\": %s, \"ledger_drained\": %s, "
+                "\"events\": %llu, \"lane_events\": %llu}%s\n",
                 p.viewers, p.leaf_hosts, p.tree_edges,
                 static_cast<unsigned long long>(p.mcast_cells),
                 static_cast<unsigned long long>(p.unicast_cells), p.ratio(),
                 p.mcast_cells_per_delivered_frame(), p.unicast_cells_per_delivered_frame(),
                 static_cast<long long>(p.trunk_reserved_bps),
                 static_cast<long long>(p.granted_bps), p.edges_single_reserved ? "true" : "false",
-                p.drained ? "true" : "false", i + 1 < sweep.size() ? "," : "");
+                p.drained ? "true" : "false", static_cast<unsigned long long>(p.events),
+                static_cast<unsigned long long>(p.lane_events), i + 1 < sweep.size() ? "," : "");
   }
   std::printf("  ],\n  \"ratio_at_1k_viewers\": %.1f,\n  \"acceptance\": %s\n}\n", ratio_at_1k,
               ok ? "true" : "false");
@@ -315,7 +326,7 @@ int main(int argc, char** argv) {
     RunPoint(&p);
   }
   sim::Table t({"viewers", "leaf hosts", "tree edges", "mcast cells", "unicast cells", "ratio",
-                "mc/frame", "uc/frame", "trunk Mb/s"});
+                "mc/frame", "uc/frame", "trunk Mb/s", "events", "lane events"});
   for (const auto& p : sweep) {
     AddRow(&t, p);
   }

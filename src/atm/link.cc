@@ -57,9 +57,9 @@ void Link::ArmDelivery() {
   // The train is cut at the first end-of-frame cell so frame completion
   // instants match the per-cell path exactly; frameless streams batch up to
   // kMaxTrainCells per event.
-  const size_t last = std::min(train_.size(), train_head_ + kMaxTrainCells) - 1;
+  const size_t last = std::min(train_.size(), kMaxTrainCells) - 1;
   size_t target = last;
-  for (size_t i = train_head_; i < last; ++i) {
+  for (size_t i = 0; i < last; ++i) {
     if (train_[i].cell.end_of_frame) {
       target = i;
       break;
@@ -72,67 +72,62 @@ void Link::ArmDelivery() {
   // propagation window; otherwise a boundary link (whose event cannot wait
   // out the propagation delay without forfeiting its lookahead) would cut
   // trains differently from the single-simulator path. The wire itself is
-  // pure delay, applied after the cut in DeliverReady.
-  sim_->ScheduleAt(train_[target].done, [this]() { DeliverReady(); });
+  // pure delay, applied after the cut in DeliverReady. At most one
+  // completion is pending and each is due after the last, so the lane's
+  // times never decrease.
+  sim_->PushLane(&serialise_lane_, train_[target].done, &Link::OnSerialised, this);
+}
+
+void Link::OnSerialised(void* ctx, uint32_t, uint32_t) {
+  static_cast<Link*>(ctx)->DeliverReady();
+}
+
+void Link::OnPropagated(void* ctx, uint32_t count, uint32_t) {
+  static_cast<Link*>(ctx)->DeliverFront(count);
+}
+
+void Link::DeliverFront(size_t count) {
+  const Cell* cells = burst_buf_.front();
+  if (count == 1) {
+    sink_->DeliverCell(cells[0]);
+  } else {
+    sink_->DeliverBurst(cells, count);
+  }
+  burst_buf_.pop_front(count);
 }
 
 void Link::DeliverReady() {
   delivery_pending_ = false;
   const sim::TimeNs now = sim_->now();
-  size_t end = train_head_;
-  while (end < train_.size() && train_[end].done <= now) {
-    ++end;
+  size_t count = 0;
+  while (count < train_.size() && train_[count].done <= now) {
+    ++count;
   }
-  const size_t count = end - train_head_;
-  if (count > 0) {
-    burst_buf_.clear();
-    burst_buf_.reserve(count);
-    for (size_t i = train_head_; i < end; ++i) {
+  if (count > 0 && sink_ == nullptr) {
+    train_.pop_front(count);  // no sink: the cut train is discarded
+  } else if (count > 0) {
+    for (size_t i = 0; i < count; ++i) {
       burst_buf_.push_back(train_[i].cell);
     }
-    train_head_ = end;
-    if (train_head_ == train_.size()) {
-      train_.clear();
-      train_head_ = 0;
-    } else if (train_head_ * 2 >= train_.size()) {
-      // Compact once the delivered prefix outweighs the remainder: each
-      // erase moves at most as many cells as were just delivered, so the
-      // cost is amortised O(1) per cell and a permanently backlogged link
-      // holds O(queue_limit) memory instead of growing without bound.
-      train_.erase(train_.begin(), train_.begin() + static_cast<ptrdiff_t>(train_head_));
-      train_head_ = 0;
-    }
-    if (sink_ != nullptr && prop_delay_ == 0) {
+    train_.pop_front(count);
+    if (prop_delay_ == 0) {
       // Never a boundary link: its propagation delay is its lookahead, and
       // RegisterBoundary refuses a zero lookahead.
-      if (count == 1) {
-        sink_->DeliverCell(burst_buf_[0]);
-      } else {
-        sink_->DeliverBurst(burst_buf_.data(), count);
-      }
-    } else if (sink_ != nullptr) {
+      DeliverFront(count);
+    } else {
       // The cut is made at serialisation completion; the wire adds pure
-      // delay. The train is moved into the event so later cuts (which
-      // rebuild burst_buf_) cannot clobber an in-flight delivery. A boundary
-      // link schedules the same event on the sink's shard.
-      sim::Simulator::Handler deliver = [sink = sink_, flight = std::move(burst_buf_)]() {
-        if (flight.size() == 1) {
-          sink->DeliverCell(flight[0]);
-        } else {
-          sink->DeliverBurst(flight.data(), flight.size());
-        }
-      };
-      if (boundary_ != nullptr) {
-        boundary_->Post(now + prop_delay_, std::move(deliver));
-      } else {
-        sim_->ScheduleAt(now + prop_delay_, std::move(deliver));
-      }
+      // delay, so its deliveries leave in FIFO order on one lane. A
+      // boundary link's lane lives on the sink's shard.
+      const sim::TimeNs arrive = now + prop_delay_;
+      sim::Simulator* wire = boundary_ != nullptr ? boundary_->Emit(arrive) : sim_;
+      wire->PushLane(&wire_lane_, arrive, &Link::OnPropagated, this,
+                     static_cast<uint32_t>(count));
     }
   }
   // Whatever is still undelivered (queued after the event was armed, or
   // enqueued re-entrantly by the sink — which then armed its own event)
   // gets the next event.
-  if (train_head_ < train_.size() && !delivery_pending_) {
+  if (train_.size() > 0 && !delivery_pending_) {
     ArmDelivery();
   }
 }

@@ -21,11 +21,21 @@
 // rather than completion-plus-propagation matters for determinism: a shard
 // boundary link's event cannot wait out the propagation delay (that delay
 // IS its conservative lookahead), so the cut must never depend on cells
-// sent during the propagation window. A boundary link's delivery event is
-// the same closure, scheduled on the sink's shard through its
-// BoundaryChannel. Admission (per-cell tail-drop), the split drop counters,
-// cells_sent, busy_time and the queue-occupancy view are bit-identical to
-// the per-cell path.
+// sent during the propagation window. Admission (per-cell tail-drop), the
+// split drop counters, cells_sent, busy_time and the queue-occupancy view
+// are bit-identical to the per-cell path.
+//
+// Both of a link's event streams are monotone, so both run as engine lanes
+// (sim::Simulator::PushLane) rather than closures: serialisation
+// completions on the link's own simulator, and wire deliveries — each
+// `now + propagation_delay`, the train's cell count the lane entry's only
+// argument — on the simulator the sink runs on. A wire is a pure delay, so
+// trains leave it in the order they entered: their cells wait in one reused
+// FIFO (burst_buf_) and each delivery takes its count from the front. A
+// boundary link differs only in where the wire lane lives: on the sink's
+// shard, after its BoundaryChannel has checked the lookahead. The link
+// holds two 4-byte lane ids and allocates nothing until it first carries a
+// train.
 #ifndef PEGASUS_SRC_ATM_LINK_H_
 #define PEGASUS_SRC_ATM_LINK_H_
 
@@ -56,6 +66,38 @@ class CellSink {
   }
 };
 
+// A FIFO in one contiguous buffer that is reused across trains: elements
+// are appended at the back and consumed from the front in runs, and each
+// run is contiguous. The consumed prefix is compacted away once it
+// outweighs the rest, so each element moves O(1) times amortised and the
+// buffer stays within about twice its peak occupancy: a permanently
+// backlogged link holds O(queue_limit) cells, not an ever-growing history.
+template <typename T>
+class Fifo {
+ public:
+  size_t size() const { return buf_.size() - head_; }
+  // The i-th oldest element.
+  const T& operator[](size_t i) const { return buf_[head_ + i]; }
+  // The oldest element; the rest follow it contiguously.
+  const T* front() const { return buf_.data() + head_; }
+  T& back() { return buf_.back(); }
+  void push_back(const T& value) { buf_.push_back(value); }
+  void pop_front(size_t count) {
+    head_ += count;
+    if (head_ == buf_.size()) {
+      buf_.clear();
+      head_ = 0;
+    } else if (head_ * 2 >= buf_.size()) {
+      buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<T> buf_;
+  size_t head_ = 0;
+};
+
 class Link {
  public:
   // `queue_limit` is the maximum number of cells waiting for serialisation;
@@ -73,10 +115,11 @@ class Link {
 
   // Marks this link as a shard boundary (src/sim/shard.h): the sink lives
   // on another shard's simulator. Trains are cut at serialisation
-  // completion either way, and each train's delivery event is the same
-  // closure due at `now + propagation_delay`; a boundary link schedules it
-  // through `channel` on the sink's shard instead of on its own simulator.
+  // completion either way, and each train's delivery is the same wire-lane
+  // event due at `now + propagation_delay`; a boundary link pushes it
+  // through `channel` onto the sink's shard instead of its own simulator.
   // The propagation delay serves as the conservative lookahead window.
+  // Must be called before the link carries its first train.
   void SetBoundary(sim::BoundaryChannel* channel) { boundary_ = channel; }
   bool is_boundary() const { return boundary_ != nullptr; }
 
@@ -153,10 +196,17 @@ class Link {
   // cell's, whichever is earlier.
   void ArmDelivery();
   void DeliverReady();
+  // Hands the `count` oldest cells of burst_buf_ to the sink and drops them.
+  void DeliverFront(size_t count);
+  // Lane callbacks (sim::Simulator::LaneFn); `ctx` is the Link.
+  static void OnSerialised(void* ctx, uint32_t, uint32_t);
+  static void OnPropagated(void* ctx, uint32_t count, uint32_t);
 
   sim::Simulator* sim_;
   std::string name_;
   int id_ = -1;
+  // Serialisation completions, on sim_ (see ArmDelivery).
+  sim::Simulator::LaneId serialise_lane_ = sim::Simulator::kNoLane;
   int64_t bps_;
   sim::DurationNs prop_delay_;
   sim::DurationNs cell_time_;
@@ -173,15 +223,17 @@ class Link {
   sim::DurationNs busy_time_ = 0;
 
   // The current train: accepted, undelivered cells in send order.
-  // train_head_ marks the delivered prefix (compacted when it drains).
-  std::vector<PendingCell> train_;
-  size_t train_head_ = 0;
+  Fifo<PendingCell> train_;
   bool delivery_pending_ = false;
-  // Scratch the cut train is copied into, so a re-entrant SendCell from the
-  // sink can grow train_ without invalidating the span being delivered. For
-  // a link with nonzero propagation (every boundary link) it is moved into
-  // the delayed delivery event instead (and rebuilt empty on the next cut).
-  std::vector<Cell> burst_buf_;
+  // Wire deliveries, on the sink's simulator (sim_, or the destination
+  // shard's for a boundary link).
+  sim::Simulator::LaneId wire_lane_ = sim::Simulator::kNoLane;
+  // Cut trains in flight on the wire, oldest first. DeliverReady appends a
+  // cut train before the sink sees it, so a re-entrant SendCell from the
+  // sink can grow train_ without invalidating the span being delivered; a
+  // wire-lane event delivers the front `count` cells. A zero-delay link
+  // delivers the train at once, so its FIFO is empty between cuts.
+  Fifo<Cell> burst_buf_;
 };
 
 }  // namespace pegasus::atm

@@ -123,23 +123,26 @@ Vci Switch::AllocateVci(int in_port) const {
   return vci;
 }
 
-void Switch::ForwardRun(Link* out, std::vector<Cell>& run) {
+void Switch::ForwardRun(int out_port, size_t count) {
   if (fabric_delay_ == 0) {
-    out->SendBurst(run.data(), run.size());
-  } else if (run.size() == 1) {
-    // Single cell: capture it in the closure (inline in the engine's
-    // handler storage) instead of heap-allocating a one-element train.
-    const Cell relabelled = run[0];
-    sim_->ScheduleAfter(fabric_delay_, [out, relabelled]() { out->SendCell(relabelled); });
+    // Nothing is in transit, so the run is all relabel_buf_ holds.
+    OnTransit(this, static_cast<uint32_t>(out_port), static_cast<uint32_t>(count));
   } else {
-    sim_->ScheduleAfter(fabric_delay_, [out, train = std::move(run)]() mutable {
-      out->SendBurst(train.data(), train.size());
-    });
-    run.clear();  // moved-from; make the state explicit
+    sim_->PushLane(&fabric_lane_, sim_->now() + fabric_delay_, &Switch::OnTransit, this,
+                   static_cast<uint32_t>(out_port), static_cast<uint32_t>(count));
   }
 }
 
+void Switch::OnTransit(void* ctx, uint32_t port, uint32_t count) {
+  Switch* self = static_cast<Switch*>(ctx);
+  self->outputs_[port]->SendBurst(self->relabel_buf_.front(), count);
+  self->relabel_buf_.pop_front(count);
+}
+
 void Switch::OnBurst(int in_port, const Cell* cells, size_t count) {
+  // Nothing below re-enters this switch: a link accepts cells without
+  // delivering any (delivery is always a later lane event), so neither the
+  // route table nor relabel_buf_ changes under a loop.
   size_t i = 0;
   while (i < count) {
     const RouteEntry* entry = Lookup(in_port, cells[i].vci);
@@ -154,39 +157,37 @@ void Switch::OnBurst(int in_port, const Cell* cells, size_t count) {
       // Point-to-multipoint entry: the run of consecutive cells carrying
       // this VCI is replicated once per BRANCH (each a distinct output
       // port), not once per downstream leaf — one relabel pass and one
-      // fabric-transit event per branch, in graft order.
+      // fabric-transit event per branch, in graft order. The entry is read
+      // in place: nothing can edit the route table during replication.
       const Vci in_vci = cells[i].vci;
       size_t j = i;
       while (j < count && cells[j].vci == in_vci) {
         ++j;
       }
       const size_t run = j - i;
-      const RouteEntry snapshot = *entry;  // relabel loop must not hold a table ref
       auto replicate = [&](const RouteTarget& target) {
-        relabel_buf_.clear();
         for (size_t k = i; k < j; ++k) {
           relabel_buf_.push_back(cells[k]);
           relabel_buf_.back().vci = target.out_vci;
         }
-        ForwardRun(outputs_[static_cast<size_t>(target.out_port)], relabel_buf_);
+        ForwardRun(target.out_port, run);
       };
-      replicate(snapshot.primary);
-      for (const RouteTarget& target : snapshot.extra) {
+      replicate(entry->primary);
+      for (const RouteTarget& target : entry->extra) {
         replicate(target);
       }
-      cells_switched_ += run * (1 + snapshot.extra.size());
+      cells_switched_ += run * (1 + entry->extra.size());
       i = j;
       continue;
     }
     // Gather the maximal run of cells bound for the same output link and
     // relabel them in one pass; the run crosses the fabric as one event.
-    // The scratch buffer is a member so the zero-delay path allocates
-    // nothing; downstream delivery is always via a scheduled event, so
-    // nothing re-enters OnBurst while the scratch is live.
-    relabel_buf_.clear();
+    const int out_port = entry->primary.out_port;
+    size_t run = 0;
     do {
       relabel_buf_.push_back(cells[i]);
       relabel_buf_.back().vci = entry->primary.out_vci;
+      ++run;
       ++i;
       if (i == count) {
         break;
@@ -194,8 +195,8 @@ void Switch::OnBurst(int in_port, const Cell* cells, size_t count) {
       entry = Lookup(in_port, cells[i].vci);
     } while (entry != nullptr && entry->unicast() &&
              outputs_[static_cast<size_t>(entry->primary.out_port)] == out);
-    cells_switched_ += relabel_buf_.size();
-    ForwardRun(out, relabel_buf_);
+    cells_switched_ += run;
+    ForwardRun(out_port, run);
   }
 }
 

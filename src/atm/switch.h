@@ -122,8 +122,14 @@ class Switch {
   // output ports by construction), still one relabel pass per branch. Per-
   // cell stats count every copy switched.
   void OnBurst(int in_port, const Cell* cells, size_t count);
-  // Dispatches one relabelled run to `out` (one fabric-transit event).
-  void ForwardRun(Link* out, std::vector<Cell>& run);
+  // Dispatches the run of `count` cells just relabelled onto the back of
+  // relabel_buf_ to output `out_port`: straight into the link when the
+  // fabric has no delay, otherwise as one fabric-lane entry (port, count)
+  // due `fabric_delay_` from now, its cells waiting in relabel_buf_.
+  void ForwardRun(int out_port, size_t count);
+  // Hands the `count` oldest cells of relabel_buf_ to output `port`'s link
+  // and drops them. Also the fabric lane's callback (sim::Simulator::LaneFn).
+  static void OnTransit(void* ctx, uint32_t port, uint32_t count);
   const RouteEntry* Lookup(int in_port, Vci vci) const {
     const auto& table = routes_[static_cast<size_t>(in_port)];
     if (vci >= table.size() || table[vci].empty()) {
@@ -135,13 +141,19 @@ class Switch {
   sim::Simulator* sim_;
   std::string name_;
   int id_ = -1;
+  // Fabric transits, on sim_: every one is due `fabric_delay_` after it is
+  // pushed, so the lane's times never decrease.
+  sim::Simulator::LaneId fabric_lane_ = sim::Simulator::kNoLane;
   sim::DurationNs fabric_delay_;
   std::vector<std::unique_ptr<InputPort>> inputs_;
   std::vector<Link*> outputs_;
   // Flat per-input-port VCI tables (see kMaxRoutableVci).
   std::vector<std::vector<RouteEntry>> routes_;
-  // Relabel scratch for OnBurst (see there for the re-entrancy argument).
-  std::vector<Cell> relabel_buf_;
+  // OnBurst relabels each run onto the back of this FIFO. With a fabric
+  // delay it holds every run in transit, oldest first, and each fabric-lane
+  // event takes its run from the front; without one it is empty between
+  // runs.
+  Fifo<Cell> relabel_buf_;
   // Per-input-port allocation hints: every VCI below the hint (and at or
   // above kVciFirstData) is known occupied. Advanced by AllocateVci/AddRoute,
   // lowered only when an entry becomes fully empty — pruning one branch of a

@@ -6,8 +6,7 @@
 // deterministic. Events can be cancelled, which is used for timer-style
 // behaviour (retransmission timers, scheduler preemption points).
 //
-// Engine internals are built for cell-rate churn (the data plane schedules
-// an event per cell train):
+// Engine internals are built for cell-rate churn:
 //   - Handlers are stored in an inline small-buffer callable (Handler), so
 //     closures up to kInlineSize bytes never touch the heap. Larger ones
 //     fall back to a single allocation.
@@ -16,6 +15,21 @@
 //   - EventIds carry the slot's generation, so Cancel is O(1), an id that
 //     already ran (or was already cancelled) is rejected without any
 //     bookkeeping growth, and a cancelled slot is reusable immediately.
+//   - Lanes carry the data plane's monotone streams (link serialisation
+//     completions, wire propagation, switch fabric transit). A lane is a
+//     FIFO of events whose times never decrease, each a plain function
+//     pointer call with two 32-bit arguments: no slot, no Handler, and only
+//     the lane's HEAD sits in the priority queue.
+//
+// Lanes are exact. Every lane push reserves its seq from the same counter
+// ScheduleAt uses, at push time, so seqs are assigned exactly as if each
+// push had been a ScheduleAt. Within a lane, times never decrease (a push
+// that would break this aborts in every build type) and seqs increase, so a
+// lane's entries are already sorted by (time, seq) and its head is its
+// minimum. The queue holds every non-lane event plus each non-empty lane's
+// head under the head's reserved seq, so its minimum is the global (time,
+// seq) minimum over all pending events: the execution order, now(),
+// executed() and pending() are exactly those of the all-ScheduleAt run.
 #ifndef PEGASUS_SRC_SIM_EVENT_QUEUE_H_
 #define PEGASUS_SRC_SIM_EVENT_QUEUE_H_
 
@@ -49,8 +63,10 @@ class Simulator {
   // in place; anything bigger goes through one heap allocation.
   class Handler {
    public:
-    // Big enough for the data plane's worst closure (a Cell captured by
-    // value plus a couple of pointers) without making slots cache-hostile.
+    // Room for a closure that captures a few pointers and scalars (endpoint
+    // pacing, device and control timers) without making slots
+    // cache-hostile. Link and switch transit need no closure: they run on
+    // lanes.
     static constexpr size_t kInlineSize = 96;
 
     Handler() = default;
@@ -190,6 +206,28 @@ class Simulator {
   // Total events executed since construction; useful as a progress metric.
   uint64_t executed() const { return executed_; }
 
+  // --- Lanes (see the file comment) ---
+  // Identifies a lane within one Simulator. An owner keeps a LaneId
+  // initialised to kNoLane; the lane's first push creates the lane record
+  // here and stores its id. An id is meaningful only to the Simulator that
+  // issued it, and the owner must not touch the Simulator from its
+  // destructor: the Simulator may already be gone.
+  using LaneId = uint32_t;
+  static constexpr LaneId kNoLane = 0;
+  // What a lane event runs: `ctx` is the pointer given at the lane's first
+  // push, `a` and `b` the pushed entry's arguments.
+  using LaneFn = void (*)(void* ctx, uint32_t a, uint32_t b);
+
+  // Appends an event at absolute time `t` to the lane `*lane`, creating the
+  // lane (with `fn` and `ctx`, which later pushes do not change) when
+  // `*lane` is kNoLane. Times in the past are clamped to `now`, as in
+  // ScheduleAt. A time earlier than the lane's last pending entry aborts
+  // with a message in every build type. Lane events cannot be cancelled.
+  void PushLane(LaneId* lane, TimeNs t, LaneFn fn, void* ctx, uint32_t a = 0, uint32_t b = 0);
+
+  // Events executed from lanes; a subset of executed().
+  uint64_t lane_events() const { return lane_events_; }
+
  private:
   // A pending event's handler plus the identity needed to validate heap
   // entries and EventIds against slot reuse. seq/gen lead the layout so the
@@ -205,15 +243,17 @@ class Simulator {
     TimeNs time;
     uint64_t seq;  // tie-breaker: FIFO among same-time events; also the
                    // staleness check against the slot's current occupant
-    uint32_t slot;
+    uint32_t slot;  // slot index, or kLaneBit | lane index for a lane head
   };
+  static constexpr uint32_t kLaneBit = 1u << 31;
+  // Compares (time, seq) as one 128-bit key: a branch-free comparison on
+  // the pop path. Times are never negative (the clock starts at 0 and
+  // scheduling clamps to it), so the unsigned key keeps their order.
   struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
+    static unsigned __int128 Key(const HeapEntry& e) {
+      return (static_cast<unsigned __int128>(static_cast<uint64_t>(e.time)) << 64) | e.seq;
     }
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const { return Key(a) > Key(b); }
   };
 
   // The slab is chunked so slots have stable addresses: growing it never
@@ -229,21 +269,51 @@ class Simulator {
   const Slot& SlotAt(uint32_t index) const {
     return chunks_[index >> kChunkShift][index & kChunkMask];
   }
-  bool EntryLive(const HeapEntry& e) const { return SlotAt(e.slot).seq == e.seq; }
+  // Lane heads are never stale: lane events cannot be cancelled.
+  bool EntryLive(const HeapEntry& e) const {
+    return (e.slot & kLaneBit) != 0 || SlotAt(e.slot).seq == e.seq;
+  }
   // Pops entries whose slot was cancelled (and possibly reused) off the
   // head. Returns false when the queue is empty afterwards.
   bool SkimStaleHead();
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t index);
 
+  // One pending lane event: its (time, seq) key and the callback arguments.
+  struct LaneEntry {
+    TimeNs time;
+    uint64_t seq;
+    uint32_t a;
+    uint32_t b;
+  };
+  // A lane's callback and its pending entries. The head's arguments sit
+  // inline (its time and seq are in the queue); the entries behind it wait
+  // in a ring whose capacity is zero or a power of two, so a lane that never
+  // holds more than one entry never allocates. Reused for the Simulator's
+  // lifetime.
+  struct Lane {
+    LaneFn fn = nullptr;
+    void* ctx = nullptr;
+    TimeNs last = 0;  // time of the newest pending entry
+    uint32_t head_a = 0;
+    uint32_t head_b = 0;
+    uint32_t size = 0;  // pending entries, the head included
+    uint32_t ring_head = 0;
+    std::vector<LaneEntry> ring;
+  };
+  // Pops lane `index`'s head, queues its successor, and runs it.
+  void RunLaneHead(uint32_t index);
+
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t executed_ = 0;
+  uint64_t lane_events_ = 0;
   size_t live_ = 0;
   size_t slot_count_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<uint32_t> free_slots_;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace pegasus::sim

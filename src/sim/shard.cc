@@ -23,19 +23,19 @@ TimeNs SaturatingAdd(TimeNs t, DurationNs d) {
 
 }  // namespace
 
-void BoundaryChannel::Post(TimeNs deliver_at, Simulator::Handler fn) {
-  // Under NDEBUG an assert would let ScheduleAt clamp an early posting to
-  // the destination's clock: it would run late and out of order.
+Simulator* BoundaryChannel::Emit(TimeNs deliver_at) {
+  // Under NDEBUG an assert would let the destination clamp an early posting
+  // to its clock: it would run late and out of order.
   if (deliver_at < src_sim_->now() + lookahead_) {
     std::fprintf(stderr,
-                 "sim::BoundaryChannel::Post: deliver_at %lld is inside the lookahead "
+                 "sim::BoundaryChannel::Emit: deliver_at %lld is inside the lookahead "
                  "(source now %lld + %lld)\n",
                  static_cast<long long>(deliver_at), static_cast<long long>(src_sim_->now()),
                  static_cast<long long>(lookahead_));
     std::abort();
   }
   ++group_->stats_.messages;
-  dst_sim_->ScheduleAt(deliver_at, std::move(fn));
+  return dst_sim_;
 }
 
 ShardGroup::ShardGroup(Simulator* control, Options options) : control_(control) {

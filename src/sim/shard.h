@@ -45,6 +45,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -58,13 +59,22 @@ class ShardGroup;
 // ShardGroup::RegisterBoundary and owned by the group.
 class BoundaryChannel {
  public:
-  // Schedules `fn` on the destination shard at `deliver_at`. Called from the
-  // source shard's event handlers, or from control code at a sync point.
-  // `deliver_at` must honour the channel's lookahead (emission time + at
-  // least the link propagation delay): the conservative window invariant
-  // depends on it, so a violation aborts with a message in every build
-  // type rather than run late and out of order.
-  void Post(TimeNs deliver_at, Simulator::Handler fn);
+  // Emits one boundary message due at `deliver_at`: checks it against the
+  // channel's lookahead, counts it in Stats::messages and returns the
+  // destination shard's simulator, on which the caller schedules the
+  // delivery at exactly `deliver_at` (an atm::Link pushes it onto its wire
+  // lane there). Called from the source shard's event handlers, or from
+  // control code at a sync point. `deliver_at` must honour the lookahead
+  // (emission time + at least the link propagation delay): the
+  // conservative window invariant depends on it, so a violation aborts
+  // with a message in every build type rather than run late and out of
+  // order.
+  Simulator* Emit(TimeNs deliver_at);
+
+  // Emit, then schedules `fn` on the destination shard at `deliver_at`.
+  void Post(TimeNs deliver_at, Simulator::Handler fn) {
+    Emit(deliver_at)->ScheduleAt(deliver_at, std::move(fn));
+  }
 
  private:
   friend class ShardGroup;

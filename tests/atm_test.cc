@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -284,6 +285,38 @@ TEST(SwitchTest, RoutesAndRelabels) {
   ASSERT_EQ(sink.cells.size(), 1u);
   EXPECT_EQ(sink.cells[0].vci, 77u);
   EXPECT_EQ(sw.cells_switched(), 1u);
+}
+
+// Links and switches keep only lane ids in their Simulator and never touch
+// it from their destructors, so the Simulator may be destroyed first with
+// trains still on a wire and in the fabric, as when a ShardGroup's shards
+// go before the network's links. ASan checks the teardown.
+TEST(SwitchTest, LinksAndSwitchMayOutliveTheirSimulatorMidFlight) {
+  auto owned = std::make_unique<sim::Simulator>();
+  sim::Simulator* sim = owned.get();
+  Link in(sim, "in", 100'000'000, sim::Microseconds(10));
+  Link out(sim, "out", 100'000'000, sim::Microseconds(10));
+  Switch sw(sim, "sw", 2, sim::Microseconds(5));
+  CollectorSink sink;
+  sink.set_sim(sim);
+  in.set_sink(sw.input(0));
+  sw.AttachOutput(1, &out);
+  out.set_sink(&sink);
+  ASSERT_TRUE(sw.AddRoute(0, 40, 1, 41));
+  Cell c;
+  c.vci = 40;
+  for (int i = 0; i < 4; ++i) {
+    in.SendCell(c);
+  }
+  // At 29 us the first cell is on the out wire, the next three are in the
+  // fabric and a late fifth cell is on the in wire.
+  sim->ScheduleAt(sim::Microseconds(15), [&]() { in.SendCell(c); });
+  sim->RunUntil(sim::Microseconds(29));
+  EXPECT_EQ(sim->pending(), 3u);
+  owned.reset();
+  EXPECT_TRUE(sink.cells.empty());
+  EXPECT_EQ(sw.cells_switched(), 4u);
+  EXPECT_EQ(in.cells_sent(), 5u);
 }
 
 TEST(SwitchTest, UnroutedCellsDropped) {

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -112,6 +114,7 @@ TEST(SimulatorTest, CancelBookkeepingDoesNotLeakOrDoubleCount) {
   EXPECT_EQ(sim.pending(), 1u);
   sim.Run();
   EXPECT_TRUE(second_ran);
+  EXPECT_FALSE(sim.Cancel(second));  // already ran
   // Double-cancel: the second attempt reports false.
   EventId third = sim.ScheduleAt(3, []() {});
   EXPECT_TRUE(sim.Cancel(third));
@@ -208,6 +211,163 @@ TEST(SimulatorTest, PendingCountExcludesCancelled) {
   EXPECT_EQ(sim.pending(), 2u);
   sim.Cancel(a);
   EXPECT_EQ(sim.pending(), 1u);
+}
+
+// One seeded random mix of lane pushes, ScheduleAt, Cancel, same-time ties
+// and nested scheduling (each event spawns up to three more operations
+// when it runs, until 20k events exist).
+// The twin (use_lanes false) turns every lane push into a ScheduleAt at the
+// same time. Lanes are exact only if both runs execute the same events in
+// the same order, with the same clock and pending() at every step.
+class LaneMix {
+ public:
+  explicit LaneMix(bool use_lanes) : use_lanes_(use_lanes) {}
+
+  // Each entry: (event id, time it ran, pending() while it ran).
+  using Log = std::vector<std::tuple<int, TimeNs, size_t>>;
+
+  Log Run() {
+    for (int i = 0; i < 50; ++i) {
+      Spawn();
+    }
+    // Drive by RunUntil in uneven strides, so NextEventTime and the
+    // horizon loop see lane heads too.
+    while (sim_.NextEventTime() != kTimeNever) {
+      sim_.RunUntil(sim_.NextEventTime() + rng_.UniformInt(0, 4));
+    }
+    return log_;
+  }
+  const Simulator& sim() const { return sim_; }
+
+ private:
+  static constexpr int kEvents = 20'000;
+  static constexpr int kLanes = 3;
+
+  static void OnLane(void* ctx, uint32_t id, uint32_t /*lane*/) {
+    static_cast<LaneMix*>(ctx)->Ran(static_cast<int>(id));
+  }
+
+  void Ran(int id) {
+    log_.emplace_back(id, sim_.now(), sim_.pending());
+    for (int n = static_cast<int>(rng_.UniformInt(0, 3)); n > 0; --n) {
+      Spawn();
+    }
+  }
+
+  void Spawn() {
+    if (next_id_ >= kEvents) {
+      return;
+    }
+    const int64_t op = rng_.UniformInt(0, 9);
+    if (op < 5) {
+      // Lane push: never before the lane's last entry, often a tie with it.
+      const size_t k = static_cast<size_t>(rng_.UniformInt(0, kLanes - 1));
+      const TimeNs t = std::max(lane_last_[k], sim_.now()) + rng_.UniformInt(0, 3);
+      lane_last_[k] = t;
+      const int id = next_id_++;
+      if (use_lanes_) {
+        sim_.PushLane(&lanes_[k], t, &LaneMix::OnLane, this, static_cast<uint32_t>(id),
+                      static_cast<uint32_t>(k));
+      } else {
+        sim_.ScheduleAt(t, [this, id]() { Ran(id); });
+      }
+    } else if (op < 8 || cancellable_.empty()) {
+      const int id = next_id_++;
+      cancellable_.push_back(
+          sim_.ScheduleAt(sim_.now() + rng_.UniformInt(0, 6), [this, id]() { Ran(id); }));
+    } else {
+      // Cancels a random earlier ScheduleAt, which may have run already.
+      const size_t i = static_cast<size_t>(
+          rng_.UniformInt(0, static_cast<int64_t>(cancellable_.size()) - 1));
+      log_.emplace_back(sim_.Cancel(cancellable_[i]) ? -1 : -2, sim_.now(), sim_.pending());
+      cancellable_.erase(cancellable_.begin() + static_cast<ptrdiff_t>(i));
+    }
+  }
+
+  const bool use_lanes_;
+  Simulator sim_;
+  Rng rng_{16};
+  Log log_;
+  std::vector<EventId> cancellable_;
+  Simulator::LaneId lanes_[kLanes] = {};
+  TimeNs lane_last_[kLanes] = {};
+  int next_id_ = 0;
+};
+
+TEST(SimulatorLaneTest, RandomMixRunsInTheOrderOfItsScheduleAtTwin) {
+  LaneMix lanes(/*use_lanes=*/true);
+  LaneMix twin(/*use_lanes=*/false);
+  const LaneMix::Log with_lanes = lanes.Run();
+  const LaneMix::Log all_schedule_at = twin.Run();
+  ASSERT_EQ(with_lanes.size(), all_schedule_at.size());
+  for (size_t i = 0; i < with_lanes.size(); ++i) {
+    ASSERT_EQ(with_lanes[i], all_schedule_at[i]) << "first divergence at log entry " << i;
+  }
+  EXPECT_EQ(lanes.sim().executed(), twin.sim().executed());
+  EXPECT_EQ(lanes.sim().now(), twin.sim().now());
+  EXPECT_EQ(lanes.sim().pending(), 0u);
+  EXPECT_EQ(twin.sim().lane_events(), 0u);
+  // Half the operations are lane pushes, so a large share ran from lanes.
+  EXPECT_GT(lanes.sim().lane_events(), lanes.sim().executed() / 3);
+  EXPECT_LT(lanes.sim().lane_events(), lanes.sim().executed());
+}
+
+TEST(SimulatorLaneTest, LaneEntriesRunFifoWithTheirArguments) {
+  Simulator sim;
+  Simulator::LaneId lane = Simulator::kNoLane;
+  std::vector<std::pair<uint32_t, uint32_t>> seen;
+  auto record = [](void* ctx, uint32_t a, uint32_t b) {
+    static_cast<std::vector<std::pair<uint32_t, uint32_t>>*>(ctx)->emplace_back(a, b);
+  };
+  // More entries than the ring's first capacity, several at one instant.
+  for (uint32_t i = 0; i < 10; ++i) {
+    sim.PushLane(&lane, 5 + i / 3, record, &seen, i, 100 + i);
+  }
+  EXPECT_NE(lane, Simulator::kNoLane);
+  EXPECT_EQ(sim.pending(), 10u);
+  EXPECT_EQ(sim.NextEventTime(), 5);
+  sim.Run();
+  ASSERT_EQ(seen.size(), 10u);
+  for (uint32_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(seen[i], (std::pair<uint32_t, uint32_t>{i, 100 + i}));
+  }
+  EXPECT_EQ(sim.now(), 8);
+  EXPECT_EQ(sim.lane_events(), 10u);
+  EXPECT_EQ(sim.executed(), 10u);
+}
+
+// The owner holds only a LaneId and never touches the Simulator from its
+// destructor, so it may outlive the Simulator even with lane events (and a
+// grown ring) still pending. Under ASan this also checks that destroying
+// the Simulator frees every lane.
+TEST(SimulatorLaneTest, LaneOwnerMayOutliveItsSimulator) {
+  struct Owner {
+    Simulator::LaneId lane = Simulator::kNoLane;
+    int runs = 0;
+    static void Run(void* ctx, uint32_t, uint32_t) { ++static_cast<Owner*>(ctx)->runs; }
+  };
+  Owner owner;
+  {
+    Simulator sim;
+    for (TimeNs t = 10; t <= 100; t += 10) {
+      sim.PushLane(&owner.lane, t, &Owner::Run, &owner);
+    }
+    sim.RunUntil(30);
+    EXPECT_EQ(sim.pending(), 7u);
+  }
+  EXPECT_EQ(owner.runs, 3);
+}
+
+TEST(SimulatorLaneDeathTest, DecreasingPushAbortsInEveryBuildType) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        Simulator::LaneId lane = Simulator::kNoLane;
+        auto noop = [](void*, uint32_t, uint32_t) {};
+        sim.PushLane(&lane, 20, noop, nullptr);
+        sim.PushLane(&lane, 10, noop, nullptr);
+      },
+      "before the lane's last pending entry");
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

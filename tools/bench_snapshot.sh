@@ -6,8 +6,9 @@
 #   - wall-clock seconds of the E05 closed-loop monitoring scenario
 #     (12 simulated seconds of real cross-traffic overload + recovery)
 # and the metro-scale fleet snapshot as BENCH_06.json (admission latency,
-# blocking probability and sustained cells/s on the generated small and mid
-# metro fabrics under Poisson session churn, from bench_e16_metro_scale),
+# blocking probability, sustained cells/s and the deterministic simulator
+# event and lane-event counts on the generated small and mid metro fabrics
+# under Poisson session churn, from bench_e16_metro_scale),
 # and the admission-plane snapshot as BENCH_07.json (open/renegotiate/close
 # contract-churn ops/s plus metro admission latencies and fleet
 # fingerprints, from bench_e17_contract_churn), and the region-sharded PDES
@@ -18,9 +19,14 @@
 # are no hand-off or merge counters, because a boundary post is scheduled
 # straight onto its destination shard),
 # and the broadcast fan-out snapshot as BENCH_09.json (viewer sweep with
-# measured cell-hops vs the per-viewer unicast baseline and per-edge
-# reservations, from bench_e18_broadcast — the O(tree edges) acceptance is
-# enforced by the bench's exit code).
+# measured cell-hops vs the per-viewer unicast baseline, per-edge
+# reservations and simulator event and lane-event counts, from
+# bench_e18_broadcast — the O(tree edges) acceptance is enforced by the
+# bench's exit code).
+#
+# The event counts are work counters, identical on every host: `events` is
+# Simulator::executed() and `lane_events` the share of it that ran from
+# lanes (link serialisation, wire propagation and switch fabric transit).
 #
 # Usage: tools/bench_snapshot.sh <build-dir> [out.json]
 # The build should be a Release build; numbers from Debug builds are noise.
