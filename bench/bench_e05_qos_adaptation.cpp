@@ -154,11 +154,13 @@ int RunClosedLoop(int total_seconds) {
   }
   bench::PrintTable("applied adaptation events (all monitor-raised)", events);
 
-  std::printf("\nmonitor: %lld congestion signals, %lld recoveries over %lld ticks; "
+  std::printf("\nmonitor: %lld congestion signals, %lld recoveries over %lld ticks "
+              "(%lld link visits of %zu links); "
               "uplink dropped %llu best-effort / %llu reserved-class cells\n",
               static_cast<long long>(monitor->congestion_signals()),
               static_cast<long long>(monitor->congestion_recoveries()),
               static_cast<long long>(monitor->ticks()),
+              static_cast<long long>(monitor->link_visits()), system.network().links().size(),
               shared != nullptr
                   ? static_cast<unsigned long long>(shared->cells_dropped_low())
                   : 0ULL,

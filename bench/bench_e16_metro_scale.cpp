@@ -48,6 +48,8 @@ struct Point {
   // how many of them ran from lanes (link and fabric transit).
   uint64_t events = 0;
   uint64_t lane_events = 0;
+  // Links the QoS monitor's ticks read (core::QosMonitor::link_visits).
+  int64_t link_visits = 0;
 };
 
 scenario::TopologyParams Metro(int cores, int aggs, int edges, int hosts) {
@@ -96,6 +98,7 @@ void RunPoint(Point* point, uint64_t seed, int shards = 0,
   point->metrics = engine.Run(Seconds(point->seconds));
   point->events = sim.executed();
   point->lane_events = sim.lane_events();
+  point->link_visits = system.qos_monitor()->link_visits();
   for (int i = 0; group != nullptr && i < group->shard_count(); ++i) {
     point->events += group->shard(i)->executed();
     point->lane_events += group->shard(i)->lane_events();
@@ -114,7 +117,8 @@ void AddRow(sim::Table* table, const Point& p) {
                  sim::Table::Num(m.mean_convergence_ms(), 0),
                  sim::Table::Num(m.cells_per_wall_second() / 1e6, 2),
                  sim::Table::Int(static_cast<int64_t>(p.events)),
-                 sim::Table::Int(static_cast<int64_t>(p.lane_events))});
+                 sim::Table::Int(static_cast<int64_t>(p.lane_events)),
+                 sim::Table::Int(p.link_visits)});
 }
 
 int RunSmoke(int seconds) {
@@ -141,7 +145,7 @@ void PrintJson(const std::vector<Point>& points) {
                 "\"blocking_probability\": %.4f, \"peak_concurrent\": %lld, "
                 "\"admit_mean_us\": %.2f, \"convergence_ms\": %.1f, "
                 "\"cells_per_wall_second\": %.0f, \"events\": %llu, \"lane_events\": %llu, "
-                "\"fingerprint\": \"%llx\"}%s\n",
+                "\"link_visits\": %lld, \"fingerprint\": \"%llx\"}%s\n",
                 points[i].name.c_str(), points[i].switches, points[i].hosts,
                 points[i].arrivals_per_sec, static_cast<long long>(m.arrivals),
                 static_cast<long long>(m.admitted), m.blocking_probability(),
@@ -149,6 +153,7 @@ void PrintJson(const std::vector<Point>& points) {
                 m.mean_convergence_ms(), m.cells_per_wall_second(),
                 static_cast<unsigned long long>(points[i].events),
                 static_cast<unsigned long long>(points[i].lane_events),
+                static_cast<long long>(points[i].link_visits),
                 static_cast<unsigned long long>(m.Fingerprint()),
                 i + 1 < points.size() ? "," : "");
   }
@@ -245,7 +250,8 @@ int main(int argc, char** argv) {
     RunPoint(&p, 16);
   }
   sim::Table t1({"point", "switches", "hosts", "arr/s", "arrivals", "admitted", "blocking",
-                 "peak", "admit us", "conv ms", "Mcell/s", "events", "lane events"});
+                 "peak", "admit us", "conv ms", "Mcell/s", "events", "lane events",
+                 "link visits"});
   for (const auto& p : scale) {
     AddRow(&t1, p);
   }
@@ -262,7 +268,8 @@ int main(int argc, char** argv) {
     RunPoint(&p, 16);
   }
   sim::Table t2({"point", "switches", "hosts", "arr/s", "arrivals", "admitted", "blocking",
-                 "peak", "admit us", "conv ms", "Mcell/s", "events", "lane events"});
+                 "peak", "admit us", "conv ms", "Mcell/s", "events", "lane events",
+                 "link visits"});
   for (const auto& p : load) {
     AddRow(&t2, p);
   }

@@ -5,6 +5,7 @@
 // E01..E15 harnesses, which measure simulated-time behaviour.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -13,6 +14,7 @@
 #include "src/atm/link.h"
 #include "src/atm/network.h"
 #include "src/atm/switch.h"
+#include "src/core/qos_monitor.h"
 #include "src/devices/compression.h"
 #include "src/devices/frame_source.h"
 #include "src/naming/name_space.h"
@@ -157,6 +159,45 @@ void BM_NetworkGraftPrune(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NetworkGraftPrune)->Arg(1)->Arg(64);
+
+// One QosMonitor tick over a fabric of range(0) links (one switch, an
+// endpoint per port pair of links), range(1) of which each carried a cell
+// since the previous tick, spread evenly over the link ids. A tick reads
+// only the links the network's activity log names, so its cost should
+// track range(1), not range(0). Each iteration is the sends plus one
+// monitor period: the tick and the cells' delivery events.
+void BM_QosMonitorTick(benchmark::State& state) {
+  const int kLinks = static_cast<int>(state.range(0));
+  const int kActive = static_cast<int>(state.range(1));
+  sim::Simulator sim;
+  atm::Network net(&sim);
+  atm::Switch* sw = net.AddSwitch("sw", kLinks / 2);
+  for (int i = 0; i < kLinks / 2; ++i) {
+    net.AddEndpoint("h" + std::to_string(i), sw, i, 155'000'000);
+  }
+  // Switch-to-endpoint links (odd ids), whose cells land in an endpoint.
+  std::vector<atm::Link*> active;
+  for (int i = 0; i < kActive; ++i) {
+    active.push_back(net.links()[static_cast<size_t>(i) * kLinks / kActive | 1].get());
+  }
+  core::QosMonitor monitor(&sim, &net);
+  monitor.Start();
+  const sim::DurationNs period = monitor.config().period;
+  sim.RunUntil(period);  // the priming tick
+  const int64_t visits0 = monitor.link_visits();
+  atm::Cell cell;
+  for (auto _ : state) {
+    for (atm::Link* link : active) {
+      link->SendCell(cell);
+    }
+    sim.RunUntil(sim.now() + period);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["visits/tick"] = benchmark::Counter(
+      static_cast<double>(monitor.link_visits() - visits0) /
+      static_cast<double>(std::max<int64_t>(1, static_cast<int64_t>(state.iterations()))));
+}
+BENCHMARK(BM_QosMonitorTick)->Args({4096, 16})->Args({4096, 1024});
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));

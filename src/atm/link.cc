@@ -24,6 +24,11 @@ size_t Link::QueuedAt(sim::TimeNs now) const {
 size_t Link::queued_cells() const { return QueuedAt(sim_->now()); }
 
 bool Link::SendCell(const Cell& cell) {
+  MarkActive();
+  return Enqueue(cell);
+}
+
+bool Link::Enqueue(const Cell& cell) {
   const sim::TimeNs now = sim_->now();
   if (QueuedAt(now) >= queue_limit_) {
     // Tail-drop: the ARRIVING cell is lost, whatever its priority bit says
@@ -46,9 +51,10 @@ bool Link::SendCell(const Cell& cell) {
 }
 
 size_t Link::SendBurst(const Cell* cells, size_t count) {
+  MarkActive();
   size_t accepted = 0;
   for (size_t i = 0; i < count; ++i) {
-    accepted += SendCell(cells[i]) ? 1 : 0;
+    accepted += Enqueue(cells[i]) ? 1 : 0;
   }
   return accepted;
 }

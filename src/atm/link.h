@@ -36,6 +36,16 @@
 // shard, after its BoundaryChannel has checked the lookahead. The link
 // holds two 4-byte lane ids and allocates nothing until it first carries a
 // train.
+//
+// Activity log: every field Stats() reports that a monitor diffs
+// (cells_sent, both drop counters, busy_time) changes only inside the
+// per-cell body of SendCell, and queued_cells can only GROW there; between
+// sends the queue only drains. So a link whose SendCell/SendBurst has not
+// run since an observer's last look still shows that look's counters. A
+// link registered with a Network appends its id to the network's activity
+// log on the first such call after each drain (Network::DrainActiveLinks),
+// before the tail-drop test because drops count too, and once per call, not
+// per cell. A free-standing link logs nothing.
 #ifndef PEGASUS_SRC_ATM_LINK_H_
 #define PEGASUS_SRC_ATM_LINK_H_
 
@@ -138,6 +148,10 @@ class Link {
   // it instead of hashing the pointer.
   int id() const { return id_; }
   void set_id(int id) { id_ = id; }
+  // Arms the activity log (see the class comment): the next send appends
+  // id() to `log` and disarms it. The owning Network arms its links at
+  // registration and re-arms each one its drain takes.
+  void set_activity_log(std::vector<int>* log) { activity_log_ = log; }
   int64_t bits_per_second() const { return bps_; }
   sim::DurationNs propagation_delay() const { return prop_delay_; }
   // Serialisation time of one 53-octet cell on this link.
@@ -191,6 +205,16 @@ class Link {
 
   // Number of accepted cells whose serialisation completes after `now`.
   size_t QueuedAt(sim::TimeNs now) const;
+  // Appends id() to the armed activity log and disarms it.
+  void MarkActive() {
+    if (activity_log_ != nullptr) {
+      activity_log_->push_back(id_);
+      activity_log_ = nullptr;
+    }
+  }
+  // The per-cell body of SendCell: tail-drop test, transmitter reservation,
+  // train append. Callers have already marked the link active.
+  bool Enqueue(const Cell& cell);
   // Schedules the next delivery event: at the first undelivered
   // end-of-frame cell's completion, or the kMaxTrainCells-th undelivered
   // cell's, whichever is earlier.
@@ -225,6 +249,9 @@ class Link {
   // The current train: accepted, undelivered cells in send order.
   Fifo<PendingCell> train_;
   bool delivery_pending_ = false;
+  // The owning Network's activity log while armed, null once this link is
+  // logged until the next drain, and always null for a free-standing link.
+  std::vector<int>* activity_log_ = nullptr;
   // Wire deliveries, on the sink's simulator (sim_, or the destination
   // shard's for a boundary link).
   sim::Simulator::LaneId wire_lane_ = sim::Simulator::kNoLane;

@@ -30,10 +30,19 @@ Switch* Network::AddSwitch(const std::string& name, int num_ports, sim::Duration
 
 Link* Network::RegisterLink(std::unique_ptr<Link> link) {
   link->set_id(static_cast<int>(links_.size()));
+  link->set_activity_log(&active_links_);
   links_.push_back(std::move(link));
   reserved_bps_.push_back(0);
   link_vcs_.emplace_back();
   return links_.back().get();
+}
+
+void Network::DrainActiveLinks(std::vector<int>* out) {
+  out->clear();
+  out->swap(active_links_);
+  for (int id : *out) {
+    links_[static_cast<size_t>(id)]->set_activity_log(&active_links_);
+  }
 }
 
 Endpoint* Network::AddEndpoint(const std::string& name, Switch* sw, int port, int64_t link_bps,

@@ -226,6 +226,15 @@ class Network {
     return LinkStats{link->Stats(), link->bits_per_second(), ReservedBps(link)};
   }
 
+  // The activity log (see the atm::Link class comment): moves into `out` the
+  // ids of the links whose SendCell/SendBurst ran since the previous drain,
+  // each once, in first-send order, and re-arms those links. A link absent
+  // from a drain shows the counters it showed at the previous drain, and a
+  // queue no longer than then. Between drains the log holds at most one id
+  // per link. It has one reader, the QosMonitor: a second drainer would
+  // take ids the first never sees.
+  void DrainActiveLinks(std::vector<int>* out);
+
   // The ids of open VCs traversing `link`, ascending (open order). Congestion
   // fan-out and monitors iterate this instead of scanning every VC's hops.
   const std::vector<VcId>& VcsOnLink(const Link* link) const;
@@ -285,8 +294,8 @@ class Network {
   // nullptr when unreachable. Points at scratch storage valid until the next
   // call.
   const std::vector<const Edge*>* SwitchPath(const Switch* from, const Switch* to) const;
-  // Registers a freshly created link: assigns its dense id and grows the
-  // flat ledgers.
+  // Registers a freshly created link: assigns its dense id, attaches the
+  // activity log and grows the flat ledgers.
   Link* RegisterLink(std::unique_ptr<Link> link);
   // The one tree open: a fresh VC grafted with each sink in turn, rolled
   // back whole if any graft is refused.
@@ -319,6 +328,8 @@ class Network {
   sim::Simulator* build_sim_ = nullptr;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<std::unique_ptr<Link>> links_;
+  // Ids of links that sent since the last DrainActiveLinks.
+  std::vector<int> active_links_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::map<const Endpoint*, Attachment> endpoint_attachments_;
   // Adjacency indexed by switch id; each row sorted by neighbour id so BFS

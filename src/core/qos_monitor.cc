@@ -5,6 +5,12 @@
 
 namespace pegasus::core {
 
+namespace {
+
+void SetBit(std::vector<uint64_t>& bits, size_t i) { bits[i / 64] |= uint64_t{1} << (i % 64); }
+
+}  // namespace
+
 QosMonitor::QosMonitor(sim::Simulator* sim, atm::Network* network, Config config)
     : sim_(sim),
       network_(network),
@@ -36,8 +42,9 @@ void QosMonitor::Start() {
 void QosMonitor::Stop() { task_.Stop(); }
 
 void QosMonitor::Reprime() {
-  for (LinkState& state : link_states_) {
-    state.primed = false;
+  for (size_t id = 0; id < link_states_.size(); ++id) {
+    link_states_[id].primed = false;
+    SetBit(carry_, id);
   }
   for (auto& [server, state] : disk_states_) {
     (void)server;
@@ -104,73 +111,115 @@ double QosMonitor::LinkRawScore(const atm::Link::StatsSnapshot& prev,
   return std::clamp(std::max(drop_score, occupancy_score), 0.0, 1.0);
 }
 
-void QosMonitor::Tick() {
-  // --- links: snapshot, diff, smooth, signal with hysteresis ---
-  const auto& links = network_->links();
-  if (link_states_.size() < links.size()) {
-    link_states_.resize(links.size());
+void QosMonitor::DrainActivity(int after) {
+  network_->DrainActiveLinks(&drained_);
+  for (int id : drained_) {
+    // A link registered since this tick began is primed as new next tick.
+    if (static_cast<size_t>(id) < link_states_.size()) {
+      SetBit(id > after ? visit_ : carry_, static_cast<size_t>(id));
+    }
   }
-  for (const auto& link : links) {
-    atm::Link* l = link.get();
-    LinkState& state = link_states_[static_cast<size_t>(l->id())];
-    // Quiescent fast path: a primed link with no smoothed score, no standing
-    // signal, untouched counters and an empty queue cannot change any state
-    // this tick (raw score is 0, the EWMA stays 0, and below_off_ticks /
-    // ticks_since_change are only read while signalling and reset when a
-    // signal raises). At metro scale almost every link is idle almost every
-    // tick, so the monitor's cost tracks links with reservations or recent
-    // traffic instead of the whole fabric.
-    if (state.primed && state.score == 0.0 && state.signalled == 0.0 &&
-        l->cells_sent() == state.prev.cells_sent &&
-        l->cells_dropped_high() == state.prev.cells_dropped_high &&
-        l->cells_dropped_low() == state.prev.cells_dropped_low &&
-        l->busy_time() == state.prev.busy_time && l->queued_cells() == 0) {
-      continue;
-    }
-    const atm::Link::StatsSnapshot cur = l->Stats();
-    if (!state.primed) {
-      state.prev = cur;
-      state.primed = true;
-      continue;
-    }
-    const double raw = LinkRawScore(state.prev, cur);
-    state.prev = cur;
-    state.score += config_.smoothing * (raw - state.score);
-    ++state.ticks_since_change;
-    state.below_off_ticks =
-        state.score <= config_.off_threshold ? state.below_off_ticks + 1 : 0;
+}
 
-    if (state.signalled == 0.0) {
-      if (state.score >= config_.on_threshold) {
-        const double severity = std::min(state.score, config_.max_severity);
-        state.signalled = severity;
-        state.ticks_since_change = 0;
-        ++congestion_signals_;
-        network_->SignalCongestion(l, severity);
-      }
-    } else if (state.below_off_ticks >= config_.min_hold_ticks) {
-      // The queue stayed drained for the whole dwell: announce the
-      // all-clear so adapting sessions restore — the recovery half of the
-      // loop. (A single quiet tick of an oscillating load is not a drain.)
-      state.signalled = 0.0;
-      state.ticks_since_change = 0;
-      ++congestion_recoveries_;
-      network_->SignalCongestion(l, 0.0);
-    } else if (std::abs(state.score - state.signalled) >= config_.severity_step &&
-               state.ticks_since_change >= config_.min_hold_ticks) {
-      // Escalate or relax only on a real, settled move; oscillations of
-      // the smoothed score around the announced severity stay silent. A
-      // relax never announces below on_threshold: sub-band severities are
-      // the dwell-clear's business (announcing them would strand the
-      // session a hair under nominal once the clear lands), but a score
-      // that settles INSIDE the band must still be able to walk a stale
-      // deep cut back down to the band's edge.
-      const double severity =
-          std::clamp(state.score, config_.on_threshold, config_.max_severity);
+void QosMonitor::Announce(const atm::Link* link, double severity) {
+  network_->SignalCongestion(link, severity);
+  DrainActivity(link->id());
+}
+
+void QosMonitor::TickLink(atm::Link* l, LinkState& state) {
+  // Quiescent fast path: a primed link with no smoothed score, no standing
+  // signal, untouched counters and an empty queue cannot change any state
+  // this tick (raw score is 0, the EWMA stays 0, and below_off_ticks /
+  // ticks_since_change are only read while signalling and reset when a
+  // signal raises). A link in this state that does not send again is not
+  // carried, so it is not visited again until the activity log names it.
+  if (state.primed && state.score == 0.0 && state.signalled == 0.0 &&
+      l->cells_sent() == state.prev.cells_sent &&
+      l->cells_dropped_high() == state.prev.cells_dropped_high &&
+      l->cells_dropped_low() == state.prev.cells_dropped_low &&
+      l->busy_time() == state.prev.busy_time && l->queued_cells() == 0) {
+    return;
+  }
+  const atm::Link::StatsSnapshot cur = l->Stats();
+  if (!state.primed) {
+    state.prev = cur;
+    state.primed = true;
+    return;
+  }
+  const double raw = LinkRawScore(state.prev, cur);
+  state.prev = cur;
+  state.score += config_.smoothing * (raw - state.score);
+  ++state.ticks_since_change;
+  state.below_off_ticks =
+      state.score <= config_.off_threshold ? state.below_off_ticks + 1 : 0;
+
+  if (state.signalled == 0.0) {
+    if (state.score >= config_.on_threshold) {
+      const double severity = std::min(state.score, config_.max_severity);
       state.signalled = severity;
       state.ticks_since_change = 0;
       ++congestion_signals_;
-      network_->SignalCongestion(l, severity);
+      Announce(l, severity);
+    }
+  } else if (state.below_off_ticks >= config_.min_hold_ticks) {
+    // The queue stayed drained for the whole dwell: announce the
+    // all-clear so adapting sessions restore — the recovery half of the
+    // loop. (A single quiet tick of an oscillating load is not a drain.)
+    state.signalled = 0.0;
+    state.ticks_since_change = 0;
+    ++congestion_recoveries_;
+    Announce(l, 0.0);
+  } else if (std::abs(state.score - state.signalled) >= config_.severity_step &&
+             state.ticks_since_change >= config_.min_hold_ticks) {
+    // Escalate or relax only on a real, settled move; oscillations of
+    // the smoothed score around the announced severity stay silent. A
+    // relax never announces below on_threshold: sub-band severities are
+    // the dwell-clear's business (announcing them would strand the
+    // session a hair under nominal once the clear lands), but a score
+    // that settles INSIDE the band must still be able to walk a stale
+    // deep cut back down to the band's edge.
+    const double severity =
+        std::clamp(state.score, config_.on_threshold, config_.max_severity);
+    state.signalled = severity;
+    state.ticks_since_change = 0;
+    ++congestion_signals_;
+    Announce(l, severity);
+  }
+}
+
+void QosMonitor::Tick() {
+  // --- links: visit the logged and carried ones in ascending id ---
+  const auto& links = network_->links();
+  if (link_states_.size() < links.size()) {
+    // Links registered since the last tick start unprimed and are carried.
+    const size_t known = link_states_.size();
+    link_states_.resize(links.size());
+    carry_.resize((links.size() + 63) / 64);
+    visit_.resize(carry_.size());
+    for (size_t id = known; id < links.size(); ++id) {
+      SetBit(carry_, id);
+    }
+  }
+  // visit_ is all clear after the previous tick, so the swap hands this tick
+  // the carried set and starts an empty one for the next. The log is
+  // drained before the loop: sends that handlers make during the loop are
+  // sorted by Announce.
+  visit_.swap(carry_);
+  DrainActivity(-1);
+  for (size_t w = 0; w < visit_.size(); ++w) {
+    // Re-read the word each time round: Announce may add higher ids to it.
+    while (visit_[w] != 0) {
+      const size_t id = w * 64 + static_cast<size_t>(__builtin_ctzll(visit_[w]));
+      visit_[w] &= visit_[w] - 1;
+      ++link_visits_;
+      atm::Link* l = links[id].get();
+      LinkState& state = link_states_[id];
+      TickLink(l, state);
+      // Carry what can change without a send: a score decays and a signal
+      // clears on quiet ticks, and a standing queue fails the fast path.
+      if (state.score != 0.0 || state.signalled != 0.0 || l->queued_cells() != 0) {
+        SetBit(carry_, id);
+      }
     }
   }
 

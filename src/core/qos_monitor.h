@@ -3,7 +3,7 @@
 // The adaptation plane of stream.h reacts to Network::SignalCongestion and
 // PegasusFileServer::SignalBudgetPressure — but until now both were explicit
 // operator calls. The QosMonitor derives them from what the system actually
-// does: a periodic simulated task snapshots every link's transmit-queue
+// does: a periodic simulated task snapshots links' transmit-queue
 // occupancy, per-priority drop deltas and interval utilisation, and every
 // file server's windowed play-out lateness, maps the EWMA-smoothed scores
 // through thresholds with hysteresis to a severity in [0, 1], and raises the
@@ -11,6 +11,13 @@
 // AdaptationPolicy sessions restore when queues drain. The explicit-signal
 // API stays available (tests and fault injection use it); the monitor is
 // just another caller of it.
+//
+// A tick's cost grows with the links under load, not with the fabric. It
+// reads only the links that the network's activity log
+// (Network::DrainActiveLinks) says sent since the last tick, plus the links
+// it carries because their state can still move without a send. Every
+// other link would stop at a full scan's quiescent test, so signals, scores
+// and their order are those of a scan over every link.
 #ifndef PEGASUS_SRC_CORE_QOS_MONITOR_H_
 #define PEGASUS_SRC_CORE_QOS_MONITOR_H_
 
@@ -99,6 +106,9 @@ class QosMonitor {
 
   // --- introspection (tests, benches, dashboards) ---
   int64_t ticks() const { return task_.ticks(); }
+  // Links read by link ticks, summed over ticks (deterministic). A scan of
+  // every link would read ticks() x links.
+  int64_t link_visits() const { return link_visits_; }
   // Congestion signals raised or escalated (severity > 0) / cleared.
   int64_t congestion_signals() const { return congestion_signals_; }
   int64_t congestion_recoveries() const { return congestion_recoveries_; }
@@ -130,6 +140,15 @@ class QosMonitor {
   };
 
   void Tick();
+  // One link's tick: snapshot, diff, smooth, signal with hysteresis.
+  void TickLink(atm::Link* link, LinkState& state);
+  // Raises a congestion signal, then drains the sends its handlers made:
+  // links above `link` join this tick's visits, as a scan in id order
+  // would still reach them; the rest wait for the next tick.
+  void Announce(const atm::Link* link, double severity);
+  // Moves the activity log into the visit sets: ids above `after` into
+  // visit_, the others into carry_.
+  void DrainActivity(int after);
   // Discards whatever accumulated while the monitor was not watching: link
   // snapshot deltas and disk windows re-prime on the next tick.
   void Reprime();
@@ -144,6 +163,15 @@ class QosMonitor {
   // Indexed by dense link id (= index in network->links()); grown lazily on
   // tick so links added after construction are picked up.
   std::vector<LinkState> link_states_;
+  // Bitmaps over link id. carry_ holds the links the next tick must visit
+  // whatever the log says: unprimed ones (new, or re-primed by Start) and
+  // those whose last visit left a score, a signal or a standing queue.
+  // visit_ is the current tick's set, carry_ plus the drained log; the
+  // tick clears each bit as it visits.
+  std::vector<uint64_t> carry_;
+  std::vector<uint64_t> visit_;
+  std::vector<int> drained_;  // scratch for DrainActivity
+  int64_t link_visits_ = 0;
   std::vector<pfs::PegasusFileServer*> servers_;
   std::map<const pfs::PegasusFileServer*, DiskState> disk_states_;
   int64_t congestion_signals_ = 0;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/atm/network.h"
@@ -14,6 +16,8 @@
 #include "src/core/stream.h"
 #include "src/core/system.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/periodic_task.h"
+#include "src/sim/random.h"
 
 namespace pegasus::core {
 namespace {
@@ -338,6 +342,385 @@ TEST(StreamQualityRecorderTest, WindowedExportDrainsAndAccumulates) {
   EXPECT_EQ(w.deadline_misses, 1);
   EXPECT_EQ(w.max_lateness, Milliseconds(2));
   EXPECT_EQ(recorder.deadline_misses(), 52);
+}
+
+// --- the visit sets against a scan of every link ---
+
+// The monitor's link loop as it was before the activity log: every tick
+// reads every link in id order, with the same quiescent fast path, the
+// same scoring and the same signals. A twin of the world QosMonitor
+// watches runs under this reference, and the two must agree bit for bit.
+class FullScanMonitor {
+ public:
+  FullScanMonitor(sim::Simulator* sim, atm::Network* net)
+      : net_(net), task_(sim, config_.period, [this]() { Tick(); }) {}
+
+  void Start() {
+    if (!task_.running()) {
+      for (LinkState& state : states_) {
+        state.primed = false;
+      }
+    }
+    task_.Start();
+  }
+  void Stop() { task_.Stop(); }
+
+  double score(size_t id) const { return id < states_.size() ? states_[id].score : 0.0; }
+  double severity(size_t id) const {
+    return id < states_.size() ? states_[id].signalled : 0.0;
+  }
+  int64_t signals() const { return signals_; }
+  int64_t recoveries() const { return recoveries_; }
+  // Links that got past the quiescent fast path, summed over ticks.
+  int64_t active_visits() const { return active_visits_; }
+
+ private:
+  struct LinkState {
+    atm::Link::StatsSnapshot prev;
+    bool primed = false;
+    double score = 0.0;
+    double signalled = 0.0;
+    int64_t ticks_since_change = 0;
+    int64_t below_off_ticks = 0;
+  };
+
+  double RawScore(const atm::Link::StatsSnapshot& prev,
+                  const atm::Link::StatsSnapshot& cur) const {
+    const double sent = static_cast<double>(cur.cells_sent - prev.cells_sent);
+    const double weighted_drops =
+        static_cast<double>(cur.cells_dropped_high - prev.cells_dropped_high) *
+            config_.high_drop_weight +
+        static_cast<double>(cur.cells_dropped_low - prev.cells_dropped_low) *
+            config_.low_drop_weight;
+    double drop_score = 0.0;
+    if (weighted_drops > 0.0) {
+      drop_score = weighted_drops / (sent + weighted_drops);
+    }
+    double occupancy_score = 0.0;
+    const double interval_util = static_cast<double>(cur.busy_time - prev.busy_time) /
+                                 static_cast<double>(config_.period);
+    if (cur.queue_limit > 0 && interval_util >= config_.utilization_floor) {
+      const double occ =
+          static_cast<double>(cur.queued_cells) / static_cast<double>(cur.queue_limit);
+      if (occ > config_.occupancy_floor) {
+        occupancy_score = config_.occupancy_cap * (occ - config_.occupancy_floor) /
+                          (1.0 - config_.occupancy_floor);
+      }
+    }
+    return std::clamp(std::max(drop_score, occupancy_score), 0.0, 1.0);
+  }
+
+  void Tick() {
+    const auto& links = net_->links();
+    if (states_.size() < links.size()) {
+      states_.resize(links.size());
+    }
+    for (const auto& link : links) {
+      atm::Link* l = link.get();
+      LinkState& state = states_[static_cast<size_t>(l->id())];
+      if (state.primed && state.score == 0.0 && state.signalled == 0.0 &&
+          l->cells_sent() == state.prev.cells_sent &&
+          l->cells_dropped_high() == state.prev.cells_dropped_high &&
+          l->cells_dropped_low() == state.prev.cells_dropped_low &&
+          l->busy_time() == state.prev.busy_time && l->queued_cells() == 0) {
+        continue;
+      }
+      ++active_visits_;
+      const atm::Link::StatsSnapshot cur = l->Stats();
+      if (!state.primed) {
+        state.prev = cur;
+        state.primed = true;
+        continue;
+      }
+      const double raw = RawScore(state.prev, cur);
+      state.prev = cur;
+      state.score += config_.smoothing * (raw - state.score);
+      ++state.ticks_since_change;
+      state.below_off_ticks =
+          state.score <= config_.off_threshold ? state.below_off_ticks + 1 : 0;
+      if (state.signalled == 0.0) {
+        if (state.score >= config_.on_threshold) {
+          state.signalled = std::min(state.score, config_.max_severity);
+          state.ticks_since_change = 0;
+          ++signals_;
+          net_->SignalCongestion(l, state.signalled);
+        }
+      } else if (state.below_off_ticks >= config_.min_hold_ticks) {
+        state.signalled = 0.0;
+        state.ticks_since_change = 0;
+        ++recoveries_;
+        net_->SignalCongestion(l, 0.0);
+      } else if (std::abs(state.score - state.signalled) >= config_.severity_step &&
+                 state.ticks_since_change >= config_.min_hold_ticks) {
+        state.signalled =
+            std::clamp(state.score, config_.on_threshold, config_.max_severity);
+        state.ticks_since_change = 0;
+        ++signals_;
+        net_->SignalCongestion(l, state.signalled);
+      }
+    }
+  }
+
+  const QosMonitor::Config config_;
+  atm::Network* net_;
+  sim::PeriodicTask task_;
+  std::vector<LinkState> states_;
+  int64_t signals_ = 0;
+  int64_t recoveries_ = 0;
+  int64_t active_visits_ = 0;
+};
+
+// One copy of a small fabric: two 6-port switches joined by a 20 Mb/s
+// trunk, three hosts on each at 2, 10 and 155 Mb/s, and a best-effort VC
+// from every host to its opposite number. Links 0 and 1 are the trunk;
+// host h's uplink is link 2 + 2h.
+struct TwinWorld {
+  TwinWorld() {
+    left = net.AddSwitch("left", 6);
+    right = net.AddSwitch("right", 6);
+    net.ConnectSwitches(left, 5, right, 5, 20'000'000);
+    const int64_t rates[] = {2'000'000, 10'000'000, 155'000'000};
+    for (int side = 0; side < 2; ++side) {
+      for (int i = 0; i < 3; ++i) {
+        hosts.push_back(net.AddEndpoint("h" + std::to_string(side * 3 + i),
+                                        side == 0 ? left : right, i, rates[i]));
+      }
+    }
+    for (size_t h = 0; h < hosts.size(); ++h) {
+      vcs.push_back(*net.OpenVc(hosts[h], hosts[(h + 3) % hosts.size()]));
+    }
+  }
+
+  // Sends `cells` cells on VC `v` now: single cells, or one AAL5 frame of
+  // about that many cells offered to the uplink as one burst.
+  void Send(size_t v, int cells, bool low_priority, bool frame) {
+    atm::Endpoint* ep = hosts[v];
+    if (frame) {
+      ep->SendFrame(vcs[v].source_vci, std::vector<uint8_t>(static_cast<size_t>(cells) * 48 - 8));
+      return;
+    }
+    for (int i = 0; i < cells; ++i) {
+      atm::Cell cell;
+      cell.vci = vcs[v].source_vci;
+      cell.low_priority = low_priority;
+      ep->SendCell(cell);
+    }
+  }
+  void SendAt(sim::TimeNs at, size_t v, int cells, bool low_priority, bool frame) {
+    sim.ScheduleAt(at, [this, v, cells, low_priority, frame]() {
+      Send(v, cells, low_priority, frame);
+    });
+  }
+
+  sim::Simulator sim;
+  atm::Network net{&sim};
+  atm::Switch* left = nullptr;
+  atm::Switch* right = nullptr;
+  std::vector<atm::Endpoint*> hosts;
+  std::vector<atm::VcDescriptor> vcs;
+};
+
+// World `a` runs the QosMonitor, world `b` the full-scan reference; every
+// input is applied to both.
+class MonitorTwinTest : public ::testing::Test {
+ protected:
+  template <typename Fn>
+  void Both(Fn fn) {
+    fn(a_);
+    fn(b_);
+  }
+  void Start() {
+    monitor_.Start();
+    reference_.Start();
+  }
+  void Stop() {
+    monitor_.Stop();
+    reference_.Stop();
+  }
+
+  // Advances both worlds one monitor period at a time and, after every
+  // tick, compares every link's score and announced severity and the
+  // signal counts, and checks that the monitor visited at least as many
+  // links as the full scan found active. (It may visit more: a link carried
+  // for a standing queue that drained without a send stops at the fast
+  // path.) Stops at the first mismatch.
+  void Advance(int ticks) {
+    const sim::DurationNs period = monitor_.config().period;
+    for (int i = 0; i < ticks && !HasFailure(); ++i) {
+      const sim::TimeNs t = a_.sim.now() + period;
+      const int64_t visits = monitor_.link_visits();
+      const int64_t active = reference_.active_visits();
+      a_.sim.RunUntil(t);
+      b_.sim.RunUntil(t);
+      ASSERT_EQ(a_.net.links().size(), b_.net.links().size());
+      for (size_t id = 0; id < a_.net.links().size(); ++id) {
+        const atm::Link* link = a_.net.links()[id].get();
+        ASSERT_EQ(monitor_.link_score(link), reference_.score(id))
+            << "link " << id << " at " << t;
+        ASSERT_EQ(monitor_.link_severity(link), reference_.severity(id))
+            << "link " << id << " at " << t;
+      }
+      ASSERT_EQ(monitor_.congestion_signals(), reference_.signals()) << "at " << t;
+      ASSERT_EQ(monitor_.congestion_recoveries(), reference_.recoveries()) << "at " << t;
+      ASSERT_GE(monitor_.link_visits() - visits, reference_.active_visits() - active)
+          << "at " << t;
+    }
+  }
+
+  TwinWorld a_;
+  TwinWorld b_;
+  QosMonitor monitor_{&a_.sim, &a_.net};
+  FullScanMonitor reference_{&b_.sim, &b_.net};
+};
+
+// A seeded random mix of load phases, drop-inducing blasts, frames and
+// quiet stretches; congestion handlers that send from inside the tick; and
+// a stop/start in the middle.
+TEST_F(MonitorTwinTest, RandomMixMatchesFullScan) {
+  // Nominal cells per millisecond of each host's VC (the fast host is held
+  // to about the trunk's rate).
+  const int nominal[] = {5, 24, 60};
+  const double levels[] = {0.0, 0.0, 0.5, 1.2, 2.5};
+  sim::Rng rng(20240617);
+  const sim::TimeNs horizon = Seconds(3);
+  for (size_t v = 0; v < a_.vcs.size(); ++v) {
+    for (sim::TimeNs phase = 0; phase < horizon; phase += Milliseconds(70)) {
+      const double level = levels[rng.UniformInt(0, 4)];
+      const bool low = rng.Bernoulli(0.5);
+      for (sim::TimeNs t = phase; t < phase + Milliseconds(70); t += Milliseconds(1)) {
+        int cells = static_cast<int>(std::lround(nominal[v % 3] * level));
+        if (rng.Bernoulli(0.002)) {
+          cells += 1100;  // overflows any queue at once
+        }
+        if (cells > 0) {
+          const bool frame = rng.Bernoulli(0.3);
+          // Off the tick grid, so no send shares an instant with a tick.
+          const sim::TimeNs at = t + sim::Microseconds(137);
+          Both([&](TwinWorld& w) { w.SendAt(at, v, cells, low, frame); });
+        }
+      }
+    }
+  }
+  // Adapting sessions answer a signal with traffic of their own, on links
+  // below and above the signalled one.
+  Both([](TwinWorld& w) {
+    for (size_t v : {1u, 4u}) {
+      w.net.SetCongestionHandler(w.vcs[v].id, [&w, v](atm::VcId, const atm::Link*, double) {
+        w.Send((v + 1) % w.vcs.size(), 8, /*low_priority=*/true, /*frame=*/false);
+        w.Send((v + 5) % w.vcs.size(), 8, /*low_priority=*/false, /*frame=*/true);
+      });
+    }
+  });
+
+  Start();
+  Advance(150);
+  Stop();
+  Both([](TwinWorld& w) { w.sim.RunUntil(w.sim.now() + Milliseconds(200)); });
+  Start();
+  Advance(150);
+  Advance(50);  // the tail: queues drain, scores decay, signals clear
+
+  // The mix exercised the whole loop, and the monitor read a fraction of
+  // what a full scan would.
+  EXPECT_GT(reference_.signals(), 2);
+  EXPECT_GT(reference_.recoveries(), 0);
+  EXPECT_LT(monitor_.link_visits(),
+            monitor_.ticks() * static_cast<int64_t>(a_.net.links().size()));
+}
+
+// A slow link's queue outlives the tick after its last send: the monitor
+// must keep visiting it until the queue is empty, then stop.
+TEST_F(MonitorTwinTest, SlowQueueOutlivingATickIsVisited) {
+  Start();
+  Advance(2);
+  // 150 cells on the 2 Mb/s uplink just before a tick: 212 us each, about
+  // 32 ms of queue that drains over the next ticks with no further send.
+  Both([](TwinWorld& w) { w.SendAt(w.sim.now() + Milliseconds(9), 0, 150, false, false); });
+  Advance(1);
+  const atm::Link* uplink = a_.hosts[0]->uplink();
+  const uint64_t sent = uplink->cells_sent();
+  // Advance checks every tick's visits against the full scan, which finds
+  // the uplink active while its queue stands.
+  Advance(2);
+  EXPECT_GT(uplink->queued_cells(), 0u);
+  EXPECT_EQ(uplink->cells_sent(), sent);
+  Advance(5);
+  // Everything has drained and been delivered: ticks read nothing.
+  const int64_t idle = monitor_.link_visits();
+  Advance(3);
+  EXPECT_EQ(monitor_.link_visits(), idle);
+}
+
+// A link registered after Start() is primed at the next tick, like any
+// other, even though it sends nothing for a while: its first busy interval
+// is scored.
+TEST_F(MonitorTwinTest, LinkRegisteredAfterStartIsWatched) {
+  Start();
+  Advance(5);
+  Both([](TwinWorld& w) {
+    atm::Endpoint* late = w.net.AddEndpoint("late", w.left, 3, 2'000'000);
+    w.hosts.push_back(late);
+    w.vcs.push_back(*w.net.OpenVc(late, w.hosts[3]));
+    // After three idle ticks, 1100 cells at once and then 10 cells/ms
+    // against ~4.7 deliverable: the late uplink drops.
+    const sim::TimeNs from = w.sim.now() + Milliseconds(30) + sim::Microseconds(311);
+    w.SendAt(from, w.vcs.size() - 1, 1100, false, false);
+    for (int ms = 1; ms <= 300; ++ms) {
+      w.SendAt(from + Milliseconds(ms), w.vcs.size() - 1, 10, false, false);
+    }
+  });
+  Advance(40);
+  EXPECT_GT(monitor_.link_severity(a_.hosts.back()->uplink()), 0.0);
+  EXPECT_GT(monitor_.congestion_signals(), 0);
+}
+
+// Drops while the monitor is stopped are history: the restart re-primes
+// every link instead of scoring the gap as one interval. A link that was
+// idle through the stop is re-primed at the first tick too, so drops it
+// takes later are scored from there.
+TEST_F(MonitorTwinTest, TrafficWhileStoppedIsNotScored) {
+  Both([](TwinWorld& w) { w.SendAt(Milliseconds(5), 1, 30, false, false); });
+  Start();
+  Advance(3);
+  Stop();
+  // 2000 cells into the 2 Mb/s uplink: about half are tail-dropped.
+  Both([](TwinWorld& w) {
+    w.Send(0, 2000, false, false);
+    w.sim.RunUntil(w.sim.now() + Milliseconds(300));
+  });
+  ASSERT_GT(a_.hosts[0]->uplink()->cells_dropped(), 0u);
+  Start();
+  Advance(30);
+  EXPECT_EQ(monitor_.congestion_signals(), 0);
+  for (const auto& link : a_.net.links()) {
+    EXPECT_EQ(monitor_.link_score(link.get()), 0.0);
+  }
+  // Host 1's uplink, idle since before the stop, now overflows.
+  Both([](TwinWorld& w) { w.SendAt(w.sim.now() + Milliseconds(15), 1, 1500, false, false); });
+  Advance(5);
+  EXPECT_GT(monitor_.link_score(a_.hosts[1]->uplink()), 0.0);
+}
+
+// A congestion handler that sends during the tick, on a link below the
+// signalled one (already visited this tick) and one above it (not yet):
+// the full scan reads the higher link's new counters in this tick and the
+// lower link's in the next, and so must the monitor.
+TEST_F(MonitorTwinTest, SendFromSignalHandlerDuringTick) {
+  Both([](TwinWorld& w) {
+    // Host 1's uplink (link 4) is signalled; hosts 0 and 5 send on links 2
+    // and 12.
+    w.net.SetCongestionHandler(w.vcs[1].id, [&w](atm::VcId, const atm::Link*, double) {
+      w.Send(0, 40, false, false);
+      w.Send(5, 40, false, true);
+    });
+    for (int ms = 0; ms < 400; ++ms) {
+      w.SendAt(Milliseconds(ms) + sim::Microseconds(53), 1, 60, false, false);
+    }
+  });
+  Start();
+  Advance(60);
+  EXPECT_GT(monitor_.congestion_signals(), 0);
+  EXPECT_GT(monitor_.congestion_recoveries(), 0);
 }
 
 }  // namespace
