@@ -215,17 +215,6 @@ class Network {
 
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
 
-  // A link's raw counters together with the admission-control view of it —
-  // what a monitor deriving congestion severity needs in one read.
-  struct LinkStats {
-    Link::StatsSnapshot snapshot;
-    int64_t capacity_bps = 0;
-    int64_t reserved_bps = 0;
-  };
-  LinkStats GetLinkStats(const Link* link) const {
-    return LinkStats{link->Stats(), link->bits_per_second(), ReservedBps(link)};
-  }
-
   // The activity log (see the atm::Link class comment): moves into `out` the
   // ids of the links whose SendCell/SendBurst ran since the previous drain,
   // each once, in first-send order, and re-arms those links. A link absent

@@ -2,24 +2,9 @@
 
 namespace pegasus::atm {
 
-void WireWriter::PutU16(uint16_t v) {
-  PutU8(static_cast<uint8_t>(v));
-  PutU8(static_cast<uint8_t>(v >> 8));
-}
-
-void WireWriter::PutU32(uint32_t v) {
-  PutU16(static_cast<uint16_t>(v));
-  PutU16(static_cast<uint16_t>(v >> 16));
-}
-
-void WireWriter::PutU64(uint64_t v) {
-  PutU32(static_cast<uint32_t>(v));
-  PutU32(static_cast<uint32_t>(v >> 32));
-}
-
 void WireWriter::PutBytes(const std::vector<uint8_t>& v) {
   PutU32(static_cast<uint32_t>(v.size()));
-  buf_.insert(buf_.end(), v.begin(), v.end());
+  PutRaw(v);
 }
 
 void WireWriter::PutString(const std::string& s) {

@@ -7,6 +7,7 @@
 #ifndef PEGASUS_SRC_ATM_WIRE_H_
 #define PEGASUS_SRC_ATM_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,19 +16,37 @@ namespace pegasus::atm {
 
 class WireWriter {
  public:
+  // Grows the buffer's capacity to at least `n` bytes, so a caller that
+  // knows the frame size pays for one allocation.
+  void Reserve(size_t n) { buf_.reserve(n); }
+
   void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  void PutU16(uint16_t v) { PutLittleEndian<2>(v); }
+  void PutU32(uint32_t v) { PutLittleEndian<4>(v); }
+  void PutU64(uint64_t v) { PutLittleEndian<8>(v); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   // Length-prefixed (u32) byte string.
   void PutBytes(const std::vector<uint8_t>& v);
   void PutString(const std::string& s);
+  // Unframed appends: `v` as is, and `n` copies of `fill`.
+  void PutRaw(const std::vector<uint8_t>& v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
+  void PutRepeated(size_t n, uint8_t fill) { buf_.insert(buf_.end(), n, fill); }
 
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
+  // Appends the low `N` bytes of `v`, least significant first, growing the
+  // buffer once.
+  template <size_t N>
+  void PutLittleEndian(uint64_t v) {
+    uint8_t bytes[N];
+    for (size_t i = 0; i < N; ++i) {
+      bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    buf_.insert(buf_.end(), bytes, bytes + N);
+  }
+
   std::vector<uint8_t> buf_;
 };
 

@@ -12,8 +12,7 @@ void SetBit(std::vector<uint64_t>& bits, size_t i) { bits[i / 64] |= uint64_t{1}
 }  // namespace
 
 QosMonitor::QosMonitor(sim::Simulator* sim, atm::Network* network, Config config)
-    : sim_(sim),
-      network_(network),
+    : network_(network),
       config_(config),
       task_(sim, config.period, [this]() { Tick(); }) {}
 

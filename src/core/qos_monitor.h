@@ -156,7 +156,6 @@ class QosMonitor {
   double LinkRawScore(const atm::Link::StatsSnapshot& prev,
                       const atm::Link::StatsSnapshot& cur) const;
 
-  sim::Simulator* sim_;
   atm::Network* network_;
   Config config_;
   sim::PeriodicTask task_;

@@ -21,28 +21,25 @@ StorageNode::StorageNode(atm::Network* network, atm::Switch* sw, int port, pfs::
 pfs::FileId StorageNode::SeedContinuousFile(int records, int record_bytes,
                                             sim::DurationNs cadence) {
   const pfs::FileId file = server_.CreateFile(pfs::FileType::kContinuous);
-  // Build the whole title in one buffer and issue a single write: the file
-  // server snapshots each block's base content when a write is *issued*, so
-  // many same-instant writes straddling shared blocks would clobber each
-  // other when their commits run.
-  std::vector<uint8_t> all;
-  all.reserve(static_cast<size_t>(records) * static_cast<size_t>(kRecordHeader + record_bytes));
+  // Build the whole title in one buffer, writing each byte once, and issue a
+  // single write: the file server snapshots each block's base content when a
+  // write is *issued*, so many same-instant writes straddling shared blocks
+  // would clobber each other when their commits run.
+  atm::WireWriter all;
+  all.Reserve(static_cast<size_t>(records) * static_cast<size_t>(kRecordHeader + record_bytes));
   int64_t offset = 0;
   sim::TimeNs media_ts = sim_->now();
   for (int i = 0; i < records; ++i) {
-    atm::WireWriter w;
-    w.PutU32(static_cast<uint32_t>(record_bytes));
-    w.PutI64(media_ts);
-    std::vector<uint8_t> record = w.Take();
-    record.resize(static_cast<size_t>(kRecordHeader + record_bytes), static_cast<uint8_t>(i));
-    all.insert(all.end(), record.begin(), record.end());
+    all.PutU32(static_cast<uint32_t>(record_bytes));
+    all.PutI64(media_ts);
+    all.PutRepeated(static_cast<size_t>(record_bytes), static_cast<uint8_t>(i));
     if (i % 25 == 0) {
       server_.AppendIndexEntry(file, media_ts, offset);
     }
     offset += kRecordHeader + record_bytes;
     media_ts += cadence;
   }
-  server_.Write(file, 0, std::move(all), [](bool) {});
+  server_.Write(file, 0, all.Take(), [](bool) {});
   return file;
 }
 
@@ -74,12 +71,12 @@ void StorageNode::OnData(atm::Vci vci, std::vector<uint8_t> message) {
     return;
   }
   RecordingState& state = it->second;
-  atm::WireWriter w;
-  w.PutU32(static_cast<uint32_t>(message.size()));
-  w.PutI64(sim_->now());
-  std::vector<uint8_t> record = w.Take();
-  record.insert(record.end(), message.begin(), message.end());
-  server_.Write(state.file, state.offset, std::move(record), [](bool) {});
+  atm::WireWriter record;
+  record.Reserve(static_cast<size_t>(kRecordHeader) + message.size());
+  record.PutU32(static_cast<uint32_t>(message.size()));
+  record.PutI64(sim_->now());
+  record.PutRaw(message);
+  server_.Write(state.file, state.offset, record.Take(), [](bool) {});
   state.offset += kRecordHeader + static_cast<int64_t>(message.size());
   ++records_recorded_;
 }

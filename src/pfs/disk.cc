@@ -1,6 +1,7 @@
 #include "src/pfs/disk.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace pegasus::pfs {
@@ -19,10 +20,17 @@ void SimDisk::Read(int64_t offset, int64_t len, bool realtime, ReadCallback call
 
 void SimDisk::Write(int64_t offset, std::vector<uint8_t> data, bool realtime,
                     WriteCallback callback) {
+  const auto len = static_cast<int64_t>(data.size());
+  WritePadded(offset, len, std::move(data), realtime, std::move(callback));
+}
+
+void SimDisk::WritePadded(int64_t offset, int64_t len, std::vector<uint8_t> data, bool realtime,
+                          WriteCallback callback) {
+  assert(static_cast<int64_t>(data.size()) <= len);
   Request req;
   req.is_write = true;
   req.offset = offset;
-  req.len = static_cast<int64_t>(data.size());
+  req.len = len;
   req.data = std::move(data);
   req.write_cb = std::move(callback);
   Enqueue(std::move(req), realtime);
@@ -104,7 +112,7 @@ void SimDisk::Complete(Request req) {
   if (req.is_write) {
     ++writes_;
     bytes_written_ += req.len;
-    StoreWrite(req.offset, req.data);
+    StoreWrite(req.offset, req.len, std::move(req.data));
     req.write_cb(true);
   } else {
     ++reads_;
@@ -113,11 +121,11 @@ void SimDisk::Complete(Request req) {
   }
 }
 
-void SimDisk::StoreWrite(int64_t offset, const std::vector<uint8_t>& data) {
-  if (data.empty()) {
+void SimDisk::StoreWrite(int64_t offset, int64_t len, std::vector<uint8_t> data) {
+  if (len == 0) {
     return;
   }
-  const int64_t end = offset + static_cast<int64_t>(data.size());
+  const int64_t end = offset + len;
   // Trim or split any extent overlapping [offset, end).
   auto it = extents_.lower_bound(offset);
   if (it != extents_.begin()) {
@@ -150,7 +158,9 @@ void SimDisk::StoreWrite(int64_t offset, const std::vector<uint8_t>& data) {
       break;
     }
   }
-  extents_[offset] = data;
+  if (!data.empty()) {
+    extents_[offset] = std::move(data);
+  }
 }
 
 std::vector<uint8_t> SimDisk::StoreRead(int64_t offset, int64_t len) const {

@@ -49,7 +49,15 @@ class SimDisk {
   // `realtime` requests jump ahead of queued non-realtime ones.
   void Read(int64_t offset, int64_t len, bool realtime, ReadCallback callback);
   // Queues a write. The data is durable once the callback reports ok.
+  // `data` is taken by value and moved through the queue into the stored
+  // extent: the disk owns it from the call on, and a caller that passed a
+  // copy may reuse its own buffer at once.
   void Write(int64_t offset, std::vector<uint8_t> data, bool realtime, WriteCallback callback);
+  // Queues a write of `len` bytes at `offset` whose first data.size() bytes
+  // are `data` and the rest zeros. It costs the disk time of `len` bytes;
+  // the zeros are not stored, but read back as zero like unwritten ranges.
+  void WritePadded(int64_t offset, int64_t len, std::vector<uint8_t> data, bool realtime,
+                   WriteCallback callback);
 
   // Failure injection (E12): a failed disk errors every queued and future
   // request until repaired. Repair keeps the stored bytes (a transient
@@ -84,14 +92,15 @@ class SimDisk {
   void Complete(Request req);
   sim::DurationNs PositioningTime(int64_t offset) const;
   // Direct store access used by Complete.
-  void StoreWrite(int64_t offset, const std::vector<uint8_t>& data);
+  void StoreWrite(int64_t offset, int64_t len, std::vector<uint8_t> data);
   std::vector<uint8_t> StoreRead(int64_t offset, int64_t len) const;
 
   sim::Simulator* sim_;
   std::string name_;
   DiskGeometry geometry_;
   // Sparse content map: extent start offset -> bytes. Extents never overlap;
-  // writes split/merge as needed.
+  // a write takes over its data vector as an extent and trims (copying) only
+  // the head and tail of the extents it partly overwrites.
   std::map<int64_t, std::vector<uint8_t>> extents_;
   std::deque<Request> rt_queue_;
   std::deque<Request> queue_;

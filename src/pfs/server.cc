@@ -71,22 +71,28 @@ void PegasusFileServer::Write(FileId file, int64_t offset, std::vector<uint8_t> 
 
   struct BlockWrite {
     int64_t block = 0;
-    std::vector<uint8_t> base;  // block content before this write
+    // Block content before this write, snapshotted at issue. Empty when the
+    // write covers the whole block: the commit copies the block from `data`.
+    std::vector<uint8_t> base;
     bool needs_read = false;
   };
   auto writes = std::make_shared<std::vector<BlockWrite>>();
+  int pending_reads = 0;
   for (int64_t block = offset / bs; block * bs < end; ++block) {
     BlockWrite bw;
     bw.block = block;
-    OpenBlock* open = FindOpenBlock(file, block);
-    if (open != nullptr) {
-      bw.base = open->data;
-    } else {
-      bw.base.assign(static_cast<size_t>(bs), 0);
-      const int64_t b_start = block * bs;
-      const bool full_cover = offset <= b_start && end >= b_start + bs;
-      if (!full_cover && node->blocks.count(block) > 0) {
-        bw.needs_read = true;  // read-modify-write against the disk copy
+    const int64_t b_start = block * bs;
+    const bool full_cover = offset <= b_start && end >= b_start + bs;
+    if (!full_cover) {
+      OpenBlock* open = FindOpenBlock(file, block);
+      if (open != nullptr) {
+        bw.base = open->data;
+      } else {
+        bw.base.assign(static_cast<size_t>(bs), 0);
+        if (node->blocks.count(block) > 0) {
+          bw.needs_read = true;  // read-modify-write against the disk copy
+          ++pending_reads;
+        }
       }
     }
     writes->push_back(std::move(bw));
@@ -109,8 +115,13 @@ void PegasusFileServer::Write(FileId file, int64_t offset, std::vector<uint8_t> 
       const int64_t b_start = bw.block * bs;
       const int64_t cover_start = std::max(offset, b_start);
       const int64_t cover_end = std::min(end, b_start + bs);
-      std::memcpy(bw.base.data() + (cover_start - b_start), data.data() + (cover_start - offset),
-                  static_cast<size_t>(cover_end - cover_start));
+      const uint8_t* src = data.data() + (cover_start - offset);
+      if (bw.base.empty()) {
+        bw.base.assign(src, src + bs);
+      } else {
+        std::memcpy(bw.base.data() + (cover_start - b_start), src,
+                    static_cast<size_t>(cover_end - cover_start));
+      }
       BufferBlock(type, file, bw.block, std::move(bw.base));
     }
     n->size = std::max(n->size, end);
@@ -120,30 +131,28 @@ void PegasusFileServer::Write(FileId file, int64_t offset, std::vector<uint8_t> 
     }
   };
 
-  auto pending = std::make_shared<int>(0);
-  for (const BlockWrite& bw : *writes) {
-    if (bw.needs_read) {
-      ++*pending;
-    }
-  }
-  if (*pending == 0) {
-    sim_->ScheduleAfter(0, commit);
+  if (pending_reads == 0) {
+    sim_->ScheduleAfter(0, std::move(commit));
     return;
   }
+  // The disk reads complete one by one; the last runs the commit. The commit
+  // (and the written data it holds) is shared by the reads, never copied.
+  auto shared_commit = std::make_shared<decltype(commit)>(std::move(commit));
+  auto pending = std::make_shared<int>(pending_reads);
   for (size_t i = 0; i < writes->size(); ++i) {
     if (!(*writes)[i].needs_read) {
       continue;
     }
     const BlockLocation loc = node->blocks[(*writes)[i].block];
     store_->ReadRange(loc.segment, loc.offset, loc.length, type == FileType::kContinuous,
-                      [writes, i, pending, commit](bool ok, std::vector<uint8_t> old) {
+                      [writes, i, pending, shared_commit](bool ok, std::vector<uint8_t> old) {
                         if (ok) {
                           BlockWrite& target = (*writes)[i];
                           std::memcpy(target.base.data(), old.data(),
                                       std::min(old.size(), target.base.size()));
                         }
                         if (--*pending == 0) {
-                          commit();
+                          (*shared_commit)();
                         }
                       });
   }
@@ -355,12 +364,12 @@ void PegasusFileServer::StartCheckpoint() {
   store_->disk(0)->Write(
       ckpt_offset, image,
       /*realtime=*/false,
-      [this, epoch, image, waiters = std::move(waiters)](bool ok) {
+      [this, epoch, image, waiters = std::move(waiters)](bool ok) mutable {
         // An image written across a Crash() (or not written at all) is never
         // what Recover restores, so its waiters must not report durability.
         const bool adopted = epoch == epoch_ && ok;
         if (adopted) {
-          durable_meta_image_ = image;
+          durable_meta_image_ = std::move(image);
           ++checkpoints_;
         }
         for (const auto& w : waiters) {
@@ -709,6 +718,7 @@ void PegasusFileServer::CleanSegments(std::vector<int64_t> victims, size_t garba
         return;
       }
       std::vector<uint8_t> payload;
+      payload.reserve(live.size() * static_cast<size_t>(config_.block_size));
       std::vector<SummaryEntry> new_summary;
       for (auto& [entry, bytes] : live) {
         SummaryEntry moved = entry;

@@ -153,6 +153,20 @@ class PegasusFileServer {
   int64_t FileSize(FileId file) const;
   // Buffers `data` at `offset`; `callback(true)` fires when the server has
   // the data in memory (the ack that unblocks the client application).
+  //
+  // Buffers and copies on the write path, each stored byte copied once per
+  // stage:
+  //   * `data` is taken by value and moved into the commit event, which owns
+  //     it until the commit runs (a zero-delay event, or the last disk read
+  //     of a read-modify-write).
+  //   * A partially covered block is snapshotted when the write is issued:
+  //     its open copy, else zeros (then overlaid with its on-disk copy, if
+  //     any). The commit copies the written range onto that snapshot. A
+  //     fully covered block is not snapshotted; the commit copies it from
+  //     `data`. Either way the block becomes an OpenBlock the buffer owns.
+  //   * A flush packs its blocks into one segment payload (one copy), which
+  //     StripeStore::WriteSegment splits into chunks (one copy) and moves to
+  //     the disks, whose extents then own them (see stripe.h, disk.h).
   void Write(FileId file, int64_t offset, std::vector<uint8_t> data, WriteCallback callback);
   void Read(FileId file, int64_t offset, int64_t len, ReadCallback callback);
   // Deletes the file, turning its on-disk blocks into garbage.
@@ -243,7 +257,8 @@ class PegasusFileServer {
   const LogMetadata& metadata() const { return meta_; }
 
  private:
-  // One buffered (not yet durable) block in the write buffer.
+  // One buffered (not yet durable) block in the write buffer. `data` is
+  // always block_size bytes, owned here until a flush packs it.
   struct OpenBlock {
     FileId file;
     int64_t block;

@@ -40,29 +40,41 @@ int StripeStore::failed_disk_count() const {
 
 void StripeStore::WriteSegment(int64_t segment, std::vector<uint8_t> data,
                                WriteCallback callback) {
-  data.resize(static_cast<size_t>(segment_size_), 0);
+  assert(static_cast<int64_t>(data.size()) <= segment_size_);
   const int n = num_data_disks();
   const int64_t disk_offset = segment * chunk_size_;
+  const auto chunk_size = static_cast<size_t>(chunk_size_);
 
-  std::vector<uint8_t> parity(static_cast<size_t>(chunk_size_), 0);
   auto state = std::make_shared<Gather>();
   state->pending = n + 1;
-  auto done = [state, callback = std::move(callback)](bool ok) {
+  auto done = [state, callback = std::make_shared<WriteCallback>(std::move(callback))](bool ok) {
     state->ok = state->ok && ok;
     if (--state->pending == 0) {
-      callback(state->ok);
+      (*callback)(state->ok);
     }
   };
 
+  // Each chunk copies its slice of `data` once. Past the end of the data a
+  // chunk is written as zeros the disks do not store (WritePadded), so a
+  // short segment pads nothing. Chunk 0 always holds the most data, so it
+  // seeds the parity and the later chunks XOR in only the bytes they carry.
+  std::vector<uint8_t> parity;
   for (int d = 0; d < n; ++d) {
-    std::vector<uint8_t> chunk(data.begin() + d * chunk_size_,
-                               data.begin() + (d + 1) * chunk_size_);
-    for (int64_t i = 0; i < chunk_size_; ++i) {
-      parity[static_cast<size_t>(i)] ^= chunk[static_cast<size_t>(i)];
+    const size_t lo = std::min(static_cast<size_t>(d) * chunk_size, data.size());
+    const size_t hi = std::min(lo + chunk_size, data.size());
+    std::vector<uint8_t> chunk(data.begin() + static_cast<int64_t>(lo),
+                               data.begin() + static_cast<int64_t>(hi));
+    if (d == 0) {
+      parity = chunk;
+    } else {
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        parity[i] ^= chunk[i];
+      }
     }
-    disks_[static_cast<size_t>(d)]->Write(disk_offset, std::move(chunk), false, done);
+    disks_[static_cast<size_t>(d)]->WritePadded(disk_offset, chunk_size_, std::move(chunk), false,
+                                                done);
   }
-  disks_.back()->Write(disk_offset, std::move(parity), false, done);
+  disks_.back()->WritePadded(disk_offset, chunk_size_, std::move(parity), false, done);
 }
 
 void StripeStore::ReadSegment(int64_t segment, ReadCallback callback) {

@@ -35,8 +35,12 @@ class StripeStore {
   // Segments that fit on the disks.
   int64_t capacity_segments() const;
 
-  // Writes a whole segment (padded to segment_size); chunks + parity land on
-  // all disks in parallel. ok only if every chunk write succeeded.
+  // Writes a whole segment; chunks + parity land on all disks in parallel.
+  // ok only if every chunk write succeeded. `data` (at most segment_size
+  // bytes) is owned by the call: each chunk copies its slice once, the
+  // parity chunk is computed in its own buffer, and both are moved into the
+  // disks. Past the end of `data` the segment reads as zeros; those bytes
+  // cost disk time but are not allocated (SimDisk::WritePadded).
   void WriteSegment(int64_t segment, std::vector<uint8_t> data, WriteCallback callback);
 
   // Reads a whole segment. Tolerates one failed data disk by parity

@@ -916,6 +916,65 @@ TEST(WireTest, RoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+// The little-endian puts grow the buffer once per value; their bytes must be
+// exactly those of the byte-at-a-time encoding they replaced.
+TEST(WireTest, BulkPutsMatchTheByteWiseEncoding) {
+  std::vector<uint8_t> want;
+  auto old_put = [&want](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      want.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  WireWriter w;
+  w.PutU8(0x12);
+  w.PutU16(0x3456);
+  w.PutU32(0x789ABCDE);
+  w.PutU64(0x0123456789ABCDEFULL);
+  w.PutI64(-2);
+  w.PutString("hi");
+  w.PutBytes({9, 8});
+  w.PutRaw({1, 2});
+  w.PutRepeated(3, 0x7F);
+  EXPECT_EQ(w.data(), (std::vector<uint8_t>{
+                          0x12,                                            // u8
+                          0x56, 0x34,                                      // u16
+                          0xDE, 0xBC, 0x9A, 0x78,                          // u32
+                          0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+                          0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64 -2
+                          2, 0, 0, 0, 'h', 'i',                            // string
+                          2, 0, 0, 0, 9, 8,                                // bytes
+                          1, 2,                                            // raw
+                          0x7F, 0x7F, 0x7F}));                             // repeated
+
+  // A longer fixed mix against the byte-wise reference.
+  WireWriter mixed;
+  mixed.Reserve(16);  // smaller than the frame: later puts still grow it
+  want.clear();
+  uint64_t v = 0x9E3779B97F4A7C15ULL;
+  for (int i = 0; i < 300; ++i) {
+    v = v * 6364136223846793005ULL + 1442695040888963407ULL;
+    switch (i % 4) {
+      case 0:
+        mixed.PutU8(static_cast<uint8_t>(v));
+        old_put(v, 1);
+        break;
+      case 1:
+        mixed.PutU16(static_cast<uint16_t>(v));
+        old_put(v, 2);
+        break;
+      case 2:
+        mixed.PutU32(static_cast<uint32_t>(v));
+        old_put(v, 4);
+        break;
+      default:
+        mixed.PutU64(v);
+        old_put(v, 8);
+        break;
+    }
+  }
+  EXPECT_EQ(mixed.Take(), want);
+}
+
 TEST(WireTest, ShortReadSetsBad) {
   WireWriter w;
   w.PutU16(7);

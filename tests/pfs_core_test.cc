@@ -1,6 +1,7 @@
 // Unit tests for the PFS substrates: disk model, striped store, log metadata.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/pfs/disk.h"
@@ -89,6 +90,49 @@ TEST(SimDiskTest, OverlappingWritesResolveCorrectly) {
   EXPECT_EQ(got[149], 0xBB);
 }
 
+// Write takes its data by value: a caller that passes a buffer it keeps and
+// then reuses it, while the write is queued or after it completed, must not
+// change what the disk stores.
+TEST(SimDiskTest, WriteKeepsItsOwnCopyOfTheCallersBuffer) {
+  sim::Simulator sim;
+  SimDisk disk(&sim, "d", SmallGeometry());
+  std::vector<uint8_t> buffer(4096, 0x5A);
+  disk.Write(0, buffer, false, [](bool) {});
+  std::fill(buffer.begin(), buffer.end(), 0xE1);  // while queued
+  sim.Run();
+  std::fill(buffer.begin(), buffer.end(), 0xE2);  // after it completed
+  std::vector<uint8_t> got;
+  disk.Read(0, 4096, false, [&](bool ok, std::vector<uint8_t> data) {
+    EXPECT_TRUE(ok);
+    got = std::move(data);
+  });
+  sim.Run();
+  EXPECT_EQ(got, std::vector<uint8_t>(4096, 0x5A));
+}
+
+TEST(SimDiskTest, PaddedWriteZeroesItsTailAndPaysForItsFullLength) {
+  sim::Simulator sim;
+  SimDisk disk(&sim, "d", SmallGeometry());
+  disk.Write(0, std::vector<uint8_t>(200, 0xAA), false, [](bool) {});
+  sim.Run();
+  const sim::TimeNs before = sim.now();
+  bool ok = false;
+  // Rewrites [0, 150): 50 bytes of data, then 100 zeros over the old 0xAA.
+  disk.WritePadded(0, 150, std::vector<uint8_t>(50, 0xBB), false, [&](bool k) { ok = k; });
+  sim.Run();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(disk.bytes_written(), 350);
+  // 150 bytes at 5 MiB/s after a seek back to offset 0.
+  EXPECT_EQ(sim.now() - before - disk.seek_time(), 150 * sim::Seconds(1) / (5 * 1024 * 1024));
+  std::vector<uint8_t> got;
+  disk.Read(0, 200, false, [&](bool, std::vector<uint8_t> data) { got = std::move(data); });
+  sim.Run();
+  std::vector<uint8_t> want(200, 0);
+  std::fill(want.begin(), want.begin() + 50, 0xBB);
+  std::fill(want.begin() + 150, want.end(), 0xAA);
+  EXPECT_EQ(got, want);
+}
+
 TEST(SimDiskTest, RealtimeRequestsJumpTheQueue) {
   sim::Simulator sim;
   SimDisk disk(&sim, "d", SmallGeometry());
@@ -175,6 +219,36 @@ TEST_F(StripeFixture, ShortSegmentPadsToFullSize) {
   ASSERT_EQ(static_cast<int64_t>(got.size()), kSegmentSize);
   EXPECT_EQ(got[999], Pattern(1000, 1)[999]);
   EXPECT_EQ(got[1000], 0);
+}
+
+// A short segment costs every disk a full chunk of transfer time, and the
+// chunks past its data read back as zeros, directly and through parity.
+TEST_F(StripeFixture, ShortSegmentChargesFullChunksAndReconstructs) {
+  const int64_t chunk = store_.chunk_size();
+  const auto data = Pattern(chunk + chunk / 2, 5);  // chunk 1 half full, 2 and 3 empty
+  store_.WriteSegment(3, data, [](bool) {});
+  sim_.Run();
+  for (int d = 0; d < 4; ++d) {
+    EXPECT_EQ(store_.disk(d)->bytes_written(), chunk) << "disk " << d;
+  }
+  EXPECT_EQ(store_.parity_disk()->bytes_written(), chunk);
+  std::vector<uint8_t> want = data;
+  want.resize(static_cast<size_t>(kSegmentSize), 0);
+  for (int failed : {-1, 0, 1, 2}) {
+    if (failed >= 0) {
+      store_.disk(failed)->Fail();
+    }
+    std::vector<uint8_t> got;
+    store_.ReadSegment(3, [&](bool ok, std::vector<uint8_t> d) {
+      EXPECT_TRUE(ok);
+      got = std::move(d);
+    });
+    sim_.Run();
+    EXPECT_EQ(got, want) << "failed disk " << failed;
+    if (failed >= 0) {
+      store_.disk(failed)->Repair();
+    }
+  }
 }
 
 TEST_F(StripeFixture, ParityReconstructsSingleDiskFailure) {

@@ -2,6 +2,7 @@
 // client agent and continuous-media streams (§5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/pfs/client.h"
@@ -140,6 +141,191 @@ TEST_F(ServerFixture, HolesReadAsZeros) {
   auto [ok, got] = ReadSync(f, 0, 8192);
   EXPECT_TRUE(ok);
   EXPECT_EQ(got, std::vector<uint8_t>(8192, 0));
+}
+
+// --- write-path semantics against a reference byte array ---
+//
+// Write snapshots the base content of every partially covered block when it
+// is issued and overlays its range on that snapshot when it commits; a fully
+// covered block is built from the written bytes alone. These cases pin the
+// bytes that read back, from the write buffer and again from disk.
+
+// Copies `bytes` into `file` at `offset`, growing it with zeros as needed.
+void Overlay(std::vector<uint8_t>* file, int64_t offset, const std::vector<uint8_t>& bytes) {
+  const auto end = static_cast<size_t>(offset) + bytes.size();
+  if (file->size() < end) {
+    file->resize(end, 0);
+  }
+  std::copy(bytes.begin(), bytes.end(), file->begin() + offset);
+}
+
+// Two writes issued at the same instant into one block each snapshot it at
+// issue; the later commit overlays its range on its own snapshot and so
+// clobbers the earlier write's bytes. This pins today's behaviour (the
+// reason StorageNode seeds a title with a single write).
+TEST_F(ServerFixture, SameInstantWritesToASharedBlockKeepTheLastSnapshot) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  std::vector<uint8_t> want;
+  Overlay(&want, 0, Pattern(8192, 1));
+  ASSERT_TRUE(WriteSync(f, 0, Pattern(8192, 1)));  // block 0 open
+
+  int acks = 0;
+  auto ack = [&](bool ok) { acks += ok ? 1 : 0; };
+  server_.Write(f, 100, Pattern(1000, 50), ack);          // open block 0 ...
+  server_.Write(f, 3000, Pattern(1000, 90), ack);         // ... clobbered by this
+  server_.Write(f, 8192, Pattern(500, 7), ack);           // new block 1 ...
+  server_.Write(f, 8192 + 4000, Pattern(500, 11), ack);   // ... clobbered by this
+  sim_.RunUntilPredicate([&]() { return acks == 4; });
+  Overlay(&want, 3000, Pattern(1000, 90));
+  want.resize(8192 + 4000, 0);  // block 1's head is the zero snapshot
+  Overlay(&want, 8192 + 4000, Pattern(500, 11));
+
+  const auto len = static_cast<int64_t>(want.size());
+  EXPECT_EQ(server_.FileSize(f), len);
+  EXPECT_EQ(ReadSync(f, 0, len).second, want);
+  SyncAll();
+  EXPECT_EQ(ReadSync(f, 0, len).second, want);
+}
+
+// A write that covers a whole open block replaces it outright. A partial
+// write issued at the same instant after it still snapshots the block as it
+// was before, and commits last.
+TEST_F(ServerFixture, FullCoverWriteOverOpenBlocksReplacesThem) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  std::vector<uint8_t> want;
+  ASSERT_TRUE(WriteSync(f, 0, Pattern(3 * 8192, 3)));  // blocks 0-2 open
+  Overlay(&want, 0, Pattern(3 * 8192, 3));
+  const std::vector<uint8_t> before = want;
+
+  ASSERT_TRUE(WriteSync(f, 8192, Pattern(8192, 40)));  // covers block 1 only
+  Overlay(&want, 8192, Pattern(8192, 40));
+  EXPECT_EQ(ReadSync(f, 0, 3 * 8192).second, want);
+
+  int acks = 0;
+  auto ack = [&](bool ok) { acks += ok ? 1 : 0; };
+  server_.Write(f, 0, Pattern(2 * 8192, 60), ack);  // covers blocks 0 and 1
+  server_.Write(f, 8192 + 100, Pattern(200, 70), ack);  // snapshots block 1 first
+  sim_.RunUntilPredicate([&]() { return acks == 2; });
+  Overlay(&want, 0, Pattern(2 * 8192, 60));
+  // Block 1 is the second write's snapshot (the 40-pattern) plus its range.
+  Overlay(&want, 8192, Pattern(8192, 40));
+  Overlay(&want, 8192 + 100, Pattern(200, 70));
+  EXPECT_EQ(ReadSync(f, 0, 3 * 8192).second, want);
+  EXPECT_NE(want, before);
+
+  SyncAll();
+  EXPECT_EQ(ReadSync(f, 0, 3 * 8192).second, want);
+  EXPECT_EQ(server_.blocks_written_to_disk(), 3);
+  EXPECT_EQ(server_.blocks_died_in_buffer(), 4);
+}
+
+// One write straddles an on-disk block (read-modify-write), a block it
+// creates whole, and an open block.
+TEST_F(ServerFixture, WriteStraddlingDiskNewAndOpenBlocks) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  std::vector<uint8_t> want;
+  ASSERT_TRUE(WriteSync(f, 0, Pattern(8192, 5)));  // block 0, made durable
+  Overlay(&want, 0, Pattern(8192, 5));
+  SyncAll();
+  ASSERT_TRUE(WriteSync(f, 2 * 8192, Pattern(8192, 6)));  // block 2, open
+  Overlay(&want, 2 * 8192, Pattern(8192, 6));
+
+  const auto straddle = Pattern(8192 - 4000 + 8192 + 3000, 99);
+  ASSERT_TRUE(WriteSync(f, 4000, straddle));  // [4000, 2 * 8192 + 3000)
+  Overlay(&want, 4000, straddle);
+  EXPECT_EQ(ReadSync(f, 0, 3 * 8192).second, want);
+
+  SyncAll();
+  EXPECT_EQ(ReadSync(f, 0, 3 * 8192).second, want);
+  EXPECT_EQ(server_.garbage_entries(), 1);  // block 0's first copy
+}
+
+// A flush that does not fill its last segment: the data reads back, the
+// padding is counted, every disk pays a full chunk, and parity still
+// reconstructs the half-filled and the empty chunks.
+TEST_F(ServerFixture, ShortFinalSegmentReadsBackAndReconstructs) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  // 11 blocks, the last one short: a full 8-block segment, then 3 blocks
+  // (chunk 0 full, chunk 1 half, chunks 2 and 3 empty).
+  const auto data = Pattern(11 * 8192 - 100, 21);
+  ASSERT_TRUE(WriteSync(f, 0, data));
+  SyncAll();
+  EXPECT_EQ(server_.segments_written(), 2);
+  EXPECT_EQ(server_.partial_segment_padding(), (64 << 10) - 3 * 8192);
+  const int64_t chunk = server_.store().chunk_size();
+  EXPECT_EQ(server_.store().parity_disk()->bytes_written(), 2 * chunk);
+  EXPECT_EQ(server_.store().disk(3)->bytes_written(), 2 * chunk);
+
+  const auto len = static_cast<int64_t>(data.size());
+  EXPECT_EQ(ReadSync(f, 0, len).second, data);
+  std::vector<uint8_t> tail(100, 0);  // the last block's zero-padded tail
+  EXPECT_EQ(ReadSync(f, len, 100).second, tail);
+  for (int failed = 0; failed < 4; ++failed) {
+    server_.store().disk(failed)->Fail();
+    EXPECT_EQ(ReadSync(f, 0, len).second, data) << "failed disk " << failed;
+    server_.store().disk(failed)->Repair();
+  }
+}
+
+// A crash after writes committed (acknowledged, buffered) but before their
+// flush completed keeps exactly the durable bytes, whether the flush had not
+// started or was on its way to disk; a write not yet committed is refused.
+TEST_F(ServerFixture, CrashBetweenCommitAndFlushKeepsOnlyDurableBytes) {
+  for (const bool flush_in_flight : {false, true}) {
+    sim::Simulator sim;
+    PegasusFileServer server(&sim, TestConfig());
+    auto write = [&](FileId f, int64_t off, std::vector<uint8_t> data) {
+      bool done = false;
+      server.Write(f, off, std::move(data), [&](bool ok) {
+        EXPECT_TRUE(ok);
+        done = true;
+      });
+      sim.RunUntilPredicate([&]() { return done; });
+    };
+    auto read = [&](FileId f, int64_t off, int64_t len) {
+      std::vector<uint8_t> out;
+      bool done = false;
+      server.Read(f, off, len, [&](bool ok, std::vector<uint8_t> data) {
+        EXPECT_TRUE(ok);
+        out = std::move(data);
+        done = true;
+      });
+      sim.RunUntilPredicate([&]() { return done; });
+      return out;
+    };
+    FileId f = server.CreateFile(FileType::kNormal);
+    write(f, 0, Pattern(2 * 8192, 31));
+    bool synced = false;
+    server.Sync([&]() { synced = true; });
+    sim.RunUntilPredicate([&]() { return synced; });
+    const std::vector<uint8_t> durable = Pattern(2 * 8192, 31);
+
+    write(f, 100, Pattern(300, 77));        // read-modify-write of block 0
+    write(f, 2 * 8192, Pattern(8192, 78));  // a new block 2
+    if (flush_in_flight) {
+      server.Sync([]() {});  // the segment writes are queued at the disks
+    }
+    bool late_ok = true;
+    bool late_done = false;
+    server.Write(f, 8192, Pattern(8192, 79), [&](bool ok) {
+      late_ok = ok;
+      late_done = true;
+    });
+    server.Crash();
+    sim.RunUntil(sim.now() + Seconds(1));
+    EXPECT_TRUE(late_done);
+    EXPECT_FALSE(late_ok) << "a write uncommitted at the crash was acknowledged";
+
+    bool recovered = false;
+    server.Recover([&](bool ok) { recovered = ok; });
+    sim.RunUntilPredicate([&]() { return recovered; });
+    EXPECT_EQ(server.FileSize(f), 2 * 8192);
+    EXPECT_EQ(read(f, 0, 3 * 8192), [&]() {
+      std::vector<uint8_t> want = durable;
+      want.resize(3 * 8192, 0);
+      return want;
+    }()) << "flush in flight: " << flush_in_flight;
+  }
 }
 
 TEST_F(ServerFixture, MemoryPressureFlushesOldestBlocks) {
