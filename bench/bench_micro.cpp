@@ -263,6 +263,42 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventChurn)->Arg(1000)->Arg(100000);
 
+// The lane-head queue under a fleet's shape: 8 lanes hand events round a
+// ring, each a few ns after the last, while range(0) control timers wait
+// far ahead (a metro-large fleet keeps about 1,000 pending). Reports lane
+// events/s; the timers never run, so they should cost the lanes nothing.
+void BM_SimulatorLaneChurn(benchmark::State& state) {
+  constexpr uint32_t kLanes = 8;
+  constexpr int64_t kHops = 100'000;
+  struct Ring {
+    sim::Simulator* sim;
+    sim::Simulator::LaneId lanes[kLanes] = {};
+    int64_t hops_left = 0;
+    static void Hop(void* ctx, uint32_t lane, uint32_t /*unused*/) {
+      Ring* r = static_cast<Ring*>(ctx);
+      if (r->hops_left-- > 0) {
+        // Each lane's delay is its own, so every lane's pushes stay monotone.
+        const uint32_t next = (lane + 1) % kLanes;
+        r->sim->PushLane(&r->lanes[next], r->sim->now() + 3 + lane % 3, &Ring::Hop, r, next);
+      }
+    }
+  };
+  sim::Simulator sim;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    sim.ScheduleAt(sim::Seconds(1'000'000) + i, []() {});
+  }
+  Ring ring{&sim};
+  for (auto _ : state) {
+    ring.hops_left = kHops;
+    for (uint32_t k = 0; k < kLanes; ++k) {
+      sim.PushLane(&ring.lanes[k], sim.now() + k, &Ring::Hop, &ring, k);
+    }
+    sim.RunUntil(sim.now() + sim::Seconds(1));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(sim.lane_events()));
+}
+BENCHMARK(BM_SimulatorLaneChurn)->Arg(0)->Arg(1024);
+
 // The PFS write path for one VOD catalog title as the metro fleet seeds it
 // (64 records of a 12-byte header and 4,096 bytes): Write, the commit into
 // blocks, the flush into a segment and the striped disk writes. One server

@@ -1,5 +1,6 @@
 #include "src/atm/aal5.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/atm/crc32.h"
@@ -43,40 +44,43 @@ size_t Aal5SegmentInto(Vci vci, const uint8_t* sdu, size_t sdu_len, sim::TimeNs 
   // materialised.
   const size_t unpadded = sdu_len + kTrailerSize;
   const size_t n_cells = (unpadded + kCellPayloadSize - 1) / kCellPayloadSize;
-  const size_t base = out->size();
-  out->resize(base + n_cells);
+  out->reserve(out->size() + n_cells);
+  // Each cell is built whole in `cell` and appended once: growing `out`
+  // first would zero every cell only for the loop to overwrite it.
+  Cell cell;
+  cell.vci = vci;
+  cell.created_at = created_at;
+  uint32_t crc = 0;
   size_t offset = 0;  // position within the SDU
   for (size_t i = 0; i < n_cells; ++i) {
-    Cell& c = (*out)[base + i];
-    c.vci = vci;
-    c.end_of_frame = (i + 1 == n_cells);
-    c.low_priority = false;
-    c.created_at = created_at;
-    c.seq = first_seq + i;
+    const bool last = i + 1 == n_cells;
+    cell.end_of_frame = last;
+    cell.seq = first_seq + i;
+    uint8_t* payload = cell.payload.data();
     const size_t take = std::min(sdu_len - offset, static_cast<size_t>(kCellPayloadSize));
     if (take > 0) {
-      std::memcpy(c.payload.data(), sdu + offset, take);
+      std::memcpy(payload, sdu + offset, take);
       offset += take;
     }
     if (take < static_cast<size_t>(kCellPayloadSize)) {
-      std::memset(c.payload.data() + take, 0, kCellPayloadSize - take);
+      std::memset(payload + take, 0, kCellPayloadSize - take);
     }
+    if (!last) {
+      crc = Crc32(payload, kCellPayloadSize, crc);
+    } else {
+      // Trailer lives in the last 8 octets of the last cell (the PDU is
+      // padded to a payload multiple, so it never straddles cells). The CRC
+      // covers the whole PDU with the CRC field itself zeroed (it is zero
+      // here), computed incrementally over the finished cell payloads.
+      uint8_t* trailer = payload + kCellPayloadSize - kTrailerSize;
+      trailer[0] = 0;  // CPCS-UU
+      trailer[1] = 0;  // CPI
+      PutU16(trailer + 2, static_cast<uint16_t>(sdu_len));
+      crc = Crc32(payload, kCellPayloadSize - 4, crc);
+      PutU32(trailer + 4, crc);
+    }
+    out->push_back(cell);
   }
-  // Trailer lives in the last 8 octets of the last cell (the PDU is padded
-  // to a payload multiple, so it never straddles cells).
-  Cell& last = (*out)[base + n_cells - 1];
-  uint8_t* trailer = last.payload.data() + kCellPayloadSize - kTrailerSize;
-  trailer[0] = 0;  // CPCS-UU
-  trailer[1] = 0;  // CPI
-  PutU16(trailer + 2, static_cast<uint16_t>(sdu_len));
-  // CRC covers the whole PDU with the CRC field itself zeroed (it is zero
-  // here), computed incrementally over the finished cell payloads.
-  uint32_t crc = 0;
-  for (size_t i = 0; i + 1 < n_cells; ++i) {
-    crc = Crc32((*out)[base + i].payload.data(), kCellPayloadSize, crc);
-  }
-  crc = Crc32(last.payload.data(), kCellPayloadSize - 4, crc);
-  PutU32(trailer + 4, crc);
   return n_cells;
 }
 

@@ -48,7 +48,7 @@ EventId Simulator::ScheduleAt(TimeNs t, Handler fn) {
   Slot& slot = SlotAt(index);
   slot.fn = std::move(fn);
   slot.seq = next_seq_;
-  queue_.push(HeapEntry{t, next_seq_, index});
+  timers_.push(HeapEntry{t, next_seq_, index});
   ++next_seq_;
   ++live_;
   return EventId{PackId(index, slot.gen)};
@@ -70,7 +70,7 @@ void Simulator::PushLane(LaneId* lane, TimeNs t, LaneFn fn, void* ctx, uint32_t 
   if (l.size == 0) {
     l.head_a = a;
     l.head_b = b;
-    queue_.push(HeapEntry{t, next_seq_, index | kLaneBit});
+    PushLaneHead(HeapEntry{t, next_seq_, index});
   } else {
     if (t < l.last) {
       FailLanePush(t, l.last);
@@ -95,6 +95,22 @@ void Simulator::PushLane(LaneId* lane, TimeNs t, LaneFn fn, void* ctx, uint32_t 
   ++live_;
 }
 
+void Simulator::PushLaneHead(const HeapEntry& head) {
+  if (has_lane_front_) {
+    if (Later::Key(head) < Later::Key(lane_front_)) {
+      lane_heads_.push(lane_front_);
+      lane_front_ = head;
+    } else {
+      lane_heads_.push(head);
+    }
+  } else if (lane_heads_.empty() || Later::Key(head) < Later::Key(lane_heads_.top())) {
+    lane_front_ = head;
+    has_lane_front_ = true;
+  } else {
+    lane_heads_.push(head);
+  }
+}
+
 void Simulator::RunLaneHead(uint32_t index) {
   Lane& l = lanes_[index];
   const uint32_t a = l.head_a;
@@ -105,7 +121,7 @@ void Simulator::RunLaneHead(uint32_t index) {
     l.ring_head = (l.ring_head + 1) & (static_cast<uint32_t>(l.ring.size()) - 1);
     l.head_a = next.a;
     l.head_b = next.b;
-    queue_.push(HeapEntry{next.time, next.seq, index | kLaneBit});
+    PushLaneHead(HeapEntry{next.time, next.seq, index});
   }
   ++lane_events_;
   // Copied out first: the callback may create a lane, which can relocate
@@ -137,38 +153,67 @@ bool Simulator::Cancel(EventId id) {
     // Already ran, already cancelled, or the slot moved on to a newer event.
     return false;
   }
-  // The heap entry stays behind as a tombstone; the pop loop discards it by
+  // The timer entry stays behind as a tombstone; the pop loop discards it by
   // seeing a seq mismatch. The slot itself is reusable right away.
   ReleaseSlot(index);
   --live_;
   return true;
 }
 
-bool Simulator::SkimStaleHead() {
-  while (!queue_.empty() && !EntryLive(queue_.top())) {
-    queue_.pop();
+bool Simulator::SelectNext(HeapEntry* next, bool* from_lane) {
+  const HeapEntry* lane = has_lane_front_     ? &lane_front_
+                          : lane_heads_.empty() ? nullptr
+                                                : &lane_heads_.top();
+  while (!timers_.empty()) {
+    const HeapEntry& timer = timers_.top();
+    // Seqs are unique, so the keys never tie. A stale timer head behind the
+    // lane head is left for a later skim.
+    if (lane != nullptr && Later::Key(*lane) < Later::Key(timer)) {
+      break;
+    }
+    if (SlotAt(timer.index).seq == timer.seq) {
+      *next = timer;
+      *from_lane = false;
+      return true;
+    }
+    timers_.pop();
   }
-  return !queue_.empty();
-}
-
-bool Simulator::Step() {
-  if (!SkimStaleHead()) {
+  if (lane == nullptr) {
     return false;
   }
-  const HeapEntry entry = queue_.top();
-  queue_.pop();
+  *next = *lane;
+  *from_lane = true;
+  return true;
+}
+
+void Simulator::RunSelected(const HeapEntry& entry, bool from_lane) {
   now_ = entry.time;
   --live_;
   ++executed_;
-  if ((entry.slot & kLaneBit) != 0) {
-    RunLaneHead(entry.slot & ~kLaneBit);
-    return true;
+  if (from_lane) {
+    if (has_lane_front_) {
+      has_lane_front_ = false;
+    } else {
+      lane_heads_.pop();
+    }
+    RunLaneHead(entry.index);
+    return;
   }
+  timers_.pop();
   // Move the handler out and release the slot before invoking, so the
   // handler is free to schedule (and land in this very slot).
-  Handler fn = std::move(SlotAt(entry.slot).fn);
-  ReleaseSlot(entry.slot);
+  Handler fn = std::move(SlotAt(entry.index).fn);
+  ReleaseSlot(entry.index);
   fn();
+}
+
+bool Simulator::Step() {
+  HeapEntry entry{};
+  bool from_lane = false;
+  if (!SelectNext(&entry, &from_lane)) {
+    return false;
+  }
+  RunSelected(entry, from_lane);
   return true;
 }
 
@@ -178,8 +223,10 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(TimeNs t) {
-  while (SkimStaleHead() && queue_.top().time <= t) {
-    Step();
+  HeapEntry entry{};
+  bool from_lane = false;
+  while (SelectNext(&entry, &from_lane) && entry.time <= t) {
+    RunSelected(entry, from_lane);
   }
   if (now_ < t) {
     now_ = t;
@@ -187,8 +234,10 @@ void Simulator::RunUntil(TimeNs t) {
 }
 
 void Simulator::RunUntilBefore(TimeNs t) {
-  while (SkimStaleHead() && queue_.top().time < t) {
-    Step();
+  HeapEntry entry{};
+  bool from_lane = false;
+  while (SelectNext(&entry, &from_lane) && entry.time < t) {
+    RunSelected(entry, from_lane);
   }
   if (now_ < t) {
     now_ = t;
@@ -196,7 +245,9 @@ void Simulator::RunUntilBefore(TimeNs t) {
 }
 
 TimeNs Simulator::NextEventTime() {
-  return SkimStaleHead() ? queue_.top().time : kTimeNever;
+  HeapEntry entry{};
+  bool from_lane = false;
+  return SelectNext(&entry, &from_lane) ? entry.time : kTimeNever;
 }
 
 bool Simulator::RunUntilPredicate(const std::function<bool()>& pred) {

@@ -1,6 +1,6 @@
 // Discrete-event simulation engine.
 //
-// A Simulator owns the virtual clock and a time-ordered queue of pending
+// A Simulator owns the virtual clock and the time-ordered queues of pending
 // events. Components schedule closures at absolute or relative times; the
 // main loop pops them in (time, insertion-order) order, so runs are fully
 // deterministic. Events can be cancelled, which is used for timer-style
@@ -10,7 +10,7 @@
 //   - Handlers are stored in an inline small-buffer callable (Handler), so
 //     closures up to kInlineSize bytes never touch the heap. Larger ones
 //     fall back to a single allocation.
-//   - Handlers live in a slab of reusable slots; the priority queue holds
+//   - Handlers live in a slab of reusable slots; the timer queue holds
 //     only small POD entries {time, seq, slot}.
 //   - EventIds carry the slot's generation, so Cancel is O(1), an id that
 //     already ran (or was already cancelled) is rejected without any
@@ -19,17 +19,36 @@
 //     completions, wire propagation, switch fabric transit). A lane is a
 //     FIFO of events whose times never decrease, each a plain function
 //     pointer call with two 32-bit arguments: no slot, no Handler, and only
-//     the lane's HEAD sits in the priority queue.
+//     the lane's HEAD is queued.
 //
-// Lanes are exact. Every lane push reserves its seq from the same counter
-// ScheduleAt uses, at push time, so seqs are assigned exactly as if each
-// push had been a ScheduleAt. Within a lane, times never decrease (a push
-// that would break this aborts in every build type) and seqs increase, so a
-// lane's entries are already sorted by (time, seq) and its head is its
-// minimum. The queue holds every non-lane event plus each non-empty lane's
-// head under the head's reserved seq, so its minimum is the global (time,
-// seq) minimum over all pending events: the execution order, now(),
-// executed() and pending() are exactly those of the all-ScheduleAt run.
+// Pending work sits in two queues that share one (time, seq) key:
+//   - the timer queue holds every ScheduleAt event. A cancelled event stays
+//     behind as a tombstone, skimmed off once it heads the timer queue and
+//     sorts before the lane-head queue's head.
+//   - the lane-head queue holds one entry per non-empty lane and is never
+//     stale. Its minimum usually sits outside the heap in a front slot: a
+//     push that sorts before the current minimum takes the front slot (an
+//     occupant it displaces goes into the heap), any other push goes into
+//     the heap, and a pop takes the front slot when it is occupied. So a
+//     data-plane event whose successor sorts first touches no heap at all,
+//     and no lane push sifts through the control timers (about 1,000 in a
+//     metro-large fleet, nearly all of them milliseconds ahead).
+// Each step runs whichever queue's head has the smaller key.
+//
+// The order is exact. Every lane push reserves its seq from the same
+// counter ScheduleAt uses, at push time, so seqs are assigned exactly as if
+// each push had been a ScheduleAt. Within a lane, times never decrease (a
+// push that would break this aborts in every build type) and seqs increase,
+// so a lane's entries are already sorted by (time, seq) and its head is its
+// minimum. The front slot, when occupied, sorts before every entry in the
+// lane-head heap, so the lane-head queue's head is the minimum over all lane
+// heads. The timer queue's first live entry is the minimum over all pending
+// ScheduleAt events; a tombstone ahead of it that sorts after the lane head
+// changes nothing, because the lane head runs first either way. Seqs are
+// unique, so the smaller of the two heads is the global (time, seq) minimum
+// over all pending events: the execution order, now(),
+// executed(), pending() and lane_events() are exactly those of the
+// all-ScheduleAt run.
 #ifndef PEGASUS_SRC_SIM_EVENT_QUEUE_H_
 #define PEGASUS_SRC_SIM_EVENT_QUEUE_H_
 
@@ -176,10 +195,10 @@ class Simulator {
   // false and records nothing.
   bool Cancel(EventId id);
 
-  // Runs a single event. Returns false when the queue is empty.
+  // Runs a single event. Returns false when nothing is pending.
   bool Step();
 
-  // Runs events until the queue drains.
+  // Runs events until nothing is pending.
   void Run();
 
   // Runs events with time <= `t`, then sets the clock to exactly `t`.
@@ -192,12 +211,12 @@ class Simulator {
   // into — the horizon its neighbours' lookahead guarantees safe.
   void RunUntilBefore(TimeNs t);
 
-  // Absolute time of the earliest pending event, or kTimeNever when the
-  // queue is empty. Non-const: stale (cancelled) heads are skimmed off.
+  // Absolute time of the earliest pending event, or kTimeNever when nothing
+  // is pending. Non-const: stale (cancelled) timer heads are skimmed off.
   TimeNs NextEventTime();
 
   // Runs events until `pred()` is true (checked after each event) or the
-  // queue drains. Returns true if the predicate fired.
+  // nothing is pending. Returns true if the predicate fired.
   bool RunUntilPredicate(const std::function<bool()>& pred);
 
   // Number of pending (non-cancelled) events.
@@ -229,7 +248,7 @@ class Simulator {
   uint64_t lane_events() const { return lane_events_; }
 
  private:
-  // A pending event's handler plus the identity needed to validate heap
+  // A pending event's handler plus the identity needed to validate timer
   // entries and EventIds against slot reuse. seq/gen lead the layout so the
   // pop path's liveness check and the head of the handler's inline storage
   // share a cache line.
@@ -238,14 +257,14 @@ class Simulator {
     uint32_t gen = 1;  // bumped on every release; pins EventId validity
     Handler fn;
   };
-  // What the priority queue actually sorts: 24 PODs bytes, no handler.
+  // What both queues sort: 24 bytes of POD, no handler.
   struct HeapEntry {
     TimeNs time;
-    uint64_t seq;  // tie-breaker: FIFO among same-time events; also the
-                   // staleness check against the slot's current occupant
-    uint32_t slot;  // slot index, or kLaneBit | lane index for a lane head
+    uint64_t seq;  // tie-breaker: FIFO among same-time events; in the timer
+                   // queue also the staleness check against the slot's
+                   // current occupant
+    uint32_t index;  // slot index (timer queue) or lane index (lane-head queue)
   };
-  static constexpr uint32_t kLaneBit = 1u << 31;
   // Compares (time, seq) as one 128-bit key: a branch-free comparison on
   // the pop path. Times are never negative (the clock starts at 0 and
   // scheduling clamps to it), so the unsigned key keeps their order.
@@ -255,6 +274,7 @@ class Simulator {
     }
     bool operator()(const HeapEntry& a, const HeapEntry& b) const { return Key(a) > Key(b); }
   };
+  using Heap = std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later>;
 
   // The slab is chunked so slots have stable addresses: growing it never
   // relocates live handlers (std::vector growth would move-construct every
@@ -269,13 +289,17 @@ class Simulator {
   const Slot& SlotAt(uint32_t index) const {
     return chunks_[index >> kChunkShift][index & kChunkMask];
   }
-  // Lane heads are never stale: lane events cannot be cancelled.
-  bool EntryLive(const HeapEntry& e) const {
-    return (e.slot & kLaneBit) != 0 || SlotAt(e.slot).seq == e.seq;
-  }
-  // Pops entries whose slot was cancelled (and possibly reused) off the
-  // head. Returns false when the queue is empty afterwards.
-  bool SkimStaleHead();
+  // Points `*next` at the earliest pending entry of either queue, first
+  // skimming cancelled timers off the timer queue's head while they sort
+  // before the lane-head queue's head. Returns false when nothing is
+  // pending; otherwise `*from_lane` says which queue holds it. Inline (and
+  // defined in event_queue.cc, the only user) so the run loops keep
+  // `*next` in registers.
+  inline bool SelectNext(HeapEntry* next, bool* from_lane);
+  // Removes the entry SelectNext last returned, then runs it.
+  inline void RunSelected(const HeapEntry& entry, bool from_lane);
+  // Queues a lane's head in the lane-head queue (see the file comment).
+  void PushLaneHead(const HeapEntry& head);
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t index);
 
@@ -287,10 +311,10 @@ class Simulator {
     uint32_t b;
   };
   // A lane's callback and its pending entries. The head's arguments sit
-  // inline (its time and seq are in the queue); the entries behind it wait
-  // in a ring whose capacity is zero or a power of two, so a lane that never
-  // holds more than one entry never allocates. Reused for the Simulator's
-  // lifetime.
+  // inline (its time and seq are in the lane-head queue); the entries behind
+  // it wait in a ring whose capacity is zero or a power of two, so a lane
+  // that never holds more than one entry never allocates. Reused for the
+  // Simulator's lifetime.
   struct Lane {
     LaneFn fn = nullptr;
     void* ctx = nullptr;
@@ -312,7 +336,12 @@ class Simulator {
   size_t slot_count_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<uint32_t> free_slots_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
+  Heap timers_;  // ScheduleAt events, cancelled ones included as tombstones
+  // The lane-head queue: `lane_front_` when `has_lane_front_`, plus the heap.
+  // An occupied front sorts before every entry in `lane_heads_`.
+  HeapEntry lane_front_{};
+  bool has_lane_front_ = false;
+  Heap lane_heads_;
   std::vector<Lane> lanes_;
 };
 

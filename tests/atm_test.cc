@@ -142,6 +142,67 @@ TEST(Aal5Test, SequenceNumbersAdvance) {
   }
 }
 
+// Appending into a train that already holds cells (and into one cleared
+// for reuse, whose spare capacity holds stale bytes) must add exactly the
+// cells a fresh segmentation returns, leave the held cells alone, zero the
+// pad and carry a trailer whose length and CRC cover the padded PDU.
+TEST(Aal5Test, SegmentIntoAppendsExactlyTheFreshCells) {
+  Cell held;
+  held.vci = 99;
+  held.seq = 12345;
+  held.payload.fill(0xEE);
+  for (size_t len : {0u, 1u, 39u, 40u, 41u, 47u, 48u, 87u, 88u, 89u, 1000u, 65535u}) {
+    SCOPED_TRACE(len);
+    std::vector<uint8_t> sdu(len);
+    std::iota(sdu.begin(), sdu.end(), static_cast<uint8_t>(len));
+    const std::vector<Cell> fresh = Aal5Segment(5, sdu, 777, 40);
+    ASSERT_EQ(fresh.size(), (len + 8 + kCellPayloadSize - 1) / kCellPayloadSize);
+
+    std::vector<Cell> prefixed(3, held);
+    std::vector<Cell> reused(fresh.size() + 3, held);
+    reused.clear();
+    for (std::vector<Cell>* train : {&prefixed, &reused}) {
+      const size_t base = train->size();
+      ASSERT_EQ(Aal5SegmentInto(5, sdu.data(), sdu.size(), 777, 40, train), fresh.size());
+      ASSERT_EQ(train->size(), base + fresh.size());
+      for (size_t i = 0; i < base; ++i) {
+        EXPECT_EQ((*train)[i].seq, held.seq);
+        EXPECT_EQ((*train)[i].payload, held.payload);
+      }
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        const Cell& got = (*train)[base + i];
+        EXPECT_EQ(got.vci, fresh[i].vci);
+        EXPECT_EQ(got.end_of_frame, fresh[i].end_of_frame);
+        EXPECT_EQ(got.low_priority, fresh[i].low_priority);
+        EXPECT_EQ(got.created_at, fresh[i].created_at);
+        EXPECT_EQ(got.seq, fresh[i].seq);
+        EXPECT_EQ(got.payload, fresh[i].payload);
+      }
+    }
+
+    // The fresh cells themselves: SDU bytes, then zeros, then the trailer.
+    std::vector<uint8_t> pdu;
+    for (const Cell& c : fresh) {
+      EXPECT_EQ(c.vci, 5u);
+      EXPECT_EQ(c.created_at, 777);
+      EXPECT_FALSE(c.low_priority);
+      pdu.insert(pdu.end(), c.payload.begin(), c.payload.end());
+    }
+    EXPECT_TRUE(std::equal(sdu.begin(), sdu.end(), pdu.begin()));
+    const size_t trailer = pdu.size() - 8;
+    EXPECT_TRUE(std::all_of(pdu.begin() + static_cast<ptrdiff_t>(len),
+                            pdu.begin() + static_cast<ptrdiff_t>(trailer),
+                            [](uint8_t b) { return b == 0; }));
+    EXPECT_EQ(pdu[trailer], 0);      // CPCS-UU
+    EXPECT_EQ(pdu[trailer + 1], 0);  // CPI
+    EXPECT_EQ(pdu[trailer + 2] << 8 | pdu[trailer + 3], static_cast<int>(len));
+    const uint32_t crc = static_cast<uint32_t>(pdu[trailer + 4]) << 24 |
+                         static_cast<uint32_t>(pdu[trailer + 5]) << 16 |
+                         static_cast<uint32_t>(pdu[trailer + 6]) << 8 | pdu[trailer + 7];
+    EXPECT_EQ(crc, Crc32(pdu.data(), pdu.size() - 4));
+  }
+}
+
 class CollectorSink : public CellSink {
  public:
   void DeliverCell(const Cell& cell) override {

@@ -4,6 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
+#include <map>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -368,6 +371,247 @@ TEST(SimulatorLaneDeathTest, DecreasingPushAbortsInEveryBuildType) {
         sim.PushLane(&lane, 10, noop, nullptr);
       },
       "before the lane's last pending entry");
+}
+
+// The reference model: every pending event, lane pushes included, in one
+// ordered set keyed by (time, seq), with seqs counted exactly as the engine
+// counts them. It is the engine's contract written as plainly as possible.
+class ReferenceEngine {
+ public:
+  using Id = std::pair<TimeNs, uint64_t>;
+  explicit ReferenceEngine(std::function<void(int)> ran) : ran_(std::move(ran)) {}
+
+  Id Timer(TimeNs t, int id) { return Add(t, id); }
+  void Lane(int /*k*/, TimeNs t, int id) {
+    Add(t, id);
+    ++lane_pushes_;
+  }
+  bool Cancel(const Id& key) { return pending_.erase(key) > 0 && ids_.erase(key.second) > 0; }
+  bool Step() {
+    if (pending_.empty()) {
+      return false;
+    }
+    const Id key = *pending_.begin();
+    pending_.erase(pending_.begin());
+    const int id = ids_.at(key.second);
+    ids_.erase(key.second);
+    now_ = key.first;
+    ++executed_;
+    ran_(id);
+    return true;
+  }
+  void RunUntil(TimeNs t) {
+    while (!pending_.empty() && pending_.begin()->first <= t) {
+      Step();
+    }
+    now_ = std::max(now_, t);
+  }
+  void RunUntilBefore(TimeNs t) {
+    while (!pending_.empty() && pending_.begin()->first < t) {
+      Step();
+    }
+    now_ = std::max(now_, t);
+  }
+  TimeNs NextEventTime() const { return pending_.empty() ? kTimeNever : pending_.begin()->first; }
+  TimeNs now() const { return now_; }
+  size_t pending() const { return pending_.size(); }
+  uint64_t executed() const { return executed_; }
+  uint64_t lane_pushes() const { return lane_pushes_; }
+
+ private:
+  Id Add(TimeNs t, int id) {
+    const Id key{std::max(t, now_), next_seq_++};
+    pending_.insert(key);
+    ids_.emplace(key.second, id);
+    return key;
+  }
+
+  std::function<void(int)> ran_;
+  std::set<Id> pending_;
+  std::map<uint64_t, int> ids_;  // seq -> the mix's event id
+  TimeNs now_ = 0;
+  uint64_t next_seq_ = 1;
+  uint64_t executed_ = 0;
+  uint64_t lane_pushes_ = 0;
+};
+
+// sim::Simulator behind the same interface as ReferenceEngine.
+class EngineUnderTest {
+ public:
+  using Id = EventId;
+  static constexpr int kLanes = 4;
+  explicit EngineUnderTest(std::function<void(int)> ran) : ran_(std::move(ran)) {}
+
+  Id Timer(TimeNs t, int id) {
+    return sim_.ScheduleAt(t, [this, id]() { ran_(id); });
+  }
+  void Lane(int k, TimeNs t, int id) {
+    sim_.PushLane(&lanes_[k], t, &EngineUnderTest::OnLane, this, static_cast<uint32_t>(id));
+  }
+  bool Cancel(Id id) { return sim_.Cancel(id); }
+  bool Step() { return sim_.Step(); }
+  void RunUntil(TimeNs t) { sim_.RunUntil(t); }
+  void RunUntilBefore(TimeNs t) { sim_.RunUntilBefore(t); }
+  TimeNs NextEventTime() { return sim_.NextEventTime(); }
+  TimeNs now() const { return sim_.now(); }
+  size_t pending() const { return sim_.pending(); }
+  uint64_t executed() const { return sim_.executed(); }
+  uint64_t lane_events() const { return sim_.lane_events(); }
+
+ private:
+  static void OnLane(void* ctx, uint32_t id, uint32_t /*unused*/) {
+    static_cast<EngineUnderTest*>(ctx)->ran_(static_cast<int>(id));
+  }
+
+  std::function<void(int)> ran_;
+  Simulator sim_;
+  Simulator::LaneId lanes_[kLanes] = {};
+};
+
+// A seeded mix shaped like a fleet, driven through either engine. About
+// 1,000 control timers wait 10–50 ms ahead while lanes hand events to each
+// other a few ns apart (often tied with the lane's last entry), timers land
+// on a lane entry's exact time, the earliest pending timer is cancelled
+// while lane heads run ahead of its tombstone, and the driver mixes Step,
+// RunUntil and RunUntilBefore at horizons equal to the next event's (often a
+// lane head's) or a lane entry's time, logging NextEventTime as it goes.
+template <typename Engine>
+class FleetShapedMix {
+ public:
+  // Each entry: (event id or a negative tag, a time, pending()).
+  using Log = std::vector<std::tuple<int, TimeNs, size_t>>;
+  static constexpr int kLanes = EngineUnderTest::kLanes;
+
+  Log Run() {
+    for (int i = 0; i < kFarTimers; ++i) {
+      FarTimer();
+    }
+    for (int i = 0; i < 40; ++i) {
+      Spawn();
+    }
+    for (TimeNs next = Next(); next != kTimeNever; next = Next()) {
+      const int k = static_cast<int>(rng_.UniformInt(0, kLanes - 1));
+      switch (rng_.UniformInt(0, 5)) {
+        case 0:
+          engine_.RunUntil(next + rng_.UniformInt(0, 3));
+          break;
+        case 1:
+          engine_.RunUntilBefore(next + rng_.UniformInt(0, 3));
+          break;
+        case 2:
+          engine_.RunUntil(lane_last_[k]);
+          break;
+        case 3:
+          engine_.RunUntilBefore(lane_last_[k]);
+          break;
+        default:
+          engine_.Step();
+          break;
+      }
+      log_.emplace_back(-4, engine_.now(), engine_.pending());
+    }
+    return log_;
+  }
+  const Engine& engine() const { return engine_; }
+  int lane_runs() const { return lane_runs_; }
+
+ private:
+  static constexpr int kEvents = 30'000;
+  static constexpr int kFarTimers = 1'000;
+
+  TimeNs Next() {
+    const TimeNs next = engine_.NextEventTime();
+    log_.emplace_back(-3, next, engine_.pending());
+    return next;
+  }
+
+  void Ran(int id) {
+    log_.emplace_back(id, engine_.now(), engine_.pending());
+    const auto it = timer_time_.find(id);
+    if (it != timer_time_.end()) {
+      timers_.erase({it->second, id});
+      timer_time_.erase(it);
+    } else {
+      ++lane_runs_;
+    }
+    for (int n = static_cast<int>(rng_.UniformInt(0, 3)); n > 0; --n) {
+      Spawn();
+    }
+  }
+
+  void AddTimer(TimeNs t) {
+    const int id = next_id_++;
+    t = std::max(t, engine_.now());
+    timers_.emplace(std::make_pair(t, id), engine_.Timer(t, id));
+    timer_time_.emplace(id, t);
+  }
+  void FarTimer() { AddTimer(engine_.now() + rng_.UniformInt(10'000'000, 50'000'000)); }
+  void CancelTimer(typename std::map<std::pair<TimeNs, int>, typename Engine::Id>::iterator it) {
+    log_.emplace_back(engine_.Cancel(it->second) ? -1 : -2, engine_.now(), engine_.pending());
+    timer_time_.erase(it->first.second);
+    timers_.erase(it);
+  }
+
+  void Spawn() {
+    if (next_id_ >= kEvents) {
+      return;
+    }
+    const int k = static_cast<int>(rng_.UniformInt(0, kLanes - 1));
+    const int64_t op = rng_.UniformInt(0, 19);
+    if (op < 9) {
+      // A near lane push: never before the lane's last entry, often tied.
+      const TimeNs t = std::max(lane_last_[k], engine_.now()) + rng_.UniformInt(0, 3);
+      lane_last_[k] = t;
+      engine_.Lane(k, t, next_id_++);
+    } else if (op < 11) {
+      // A timer at exactly the time of a lane's newest entry.
+      AddTimer(std::max(lane_last_[k], engine_.now()));
+    } else if (op < 14) {
+      AddTimer(engine_.now() + rng_.UniformInt(0, 8));
+    } else if (op < 15) {
+      FarTimer();
+    } else if (op < 18) {
+      // The earliest pending timer: its tombstone becomes the timer
+      // queue's head, usually behind an earlier lane head.
+      if (!timers_.empty()) {
+        CancelTimer(timers_.begin());
+      }
+    } else if (!timers_.empty()) {
+      auto it = timers_.begin();
+      std::advance(it, rng_.UniformInt(0, static_cast<int64_t>(timers_.size()) - 1));
+      CancelTimer(it);
+    }
+  }
+
+  Engine engine_{[this](int id) { Ran(id); }};
+  Rng rng_{19};
+  Log log_;
+  // Pending timers by (time, id), which orders them as the engine does.
+  std::map<std::pair<TimeNs, int>, typename Engine::Id> timers_;
+  std::map<int, TimeNs> timer_time_;
+  TimeNs lane_last_[kLanes] = {};
+  int next_id_ = 0;
+  int lane_runs_ = 0;
+};
+
+TEST(SimulatorReferenceTest, FleetShapedMixMatchesTheOrderedSetModel) {
+  FleetShapedMix<EngineUnderTest> engine;
+  FleetShapedMix<ReferenceEngine> reference;
+  const auto got = engine.Run();
+  const auto want = reference.Run();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "first divergence at log entry " << i;
+  }
+  EXPECT_EQ(engine.engine().executed(), reference.engine().executed());
+  EXPECT_EQ(engine.engine().now(), reference.engine().now());
+  EXPECT_EQ(engine.engine().pending(), 0u);
+  EXPECT_EQ(engine.engine().lane_events(), reference.engine().lane_pushes());
+  EXPECT_EQ(engine.engine().lane_events(), static_cast<uint64_t>(engine.lane_runs()));
+  // The mix really is fleet-shaped: most events ran from lanes, and far
+  // timers kept the clock running past 10 ms.
+  EXPECT_GT(engine.engine().lane_events(), engine.engine().executed() / 2);
+  EXPECT_GT(engine.engine().now(), 10'000'000);
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {
