@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "src/atm/aal5.h"
 #include "src/atm/crc32.h"
@@ -65,6 +66,34 @@ void BM_LinkCellHotPath(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(seq), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_LinkCellHotPath)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
+
+// Whole trains offered through SendBurst, the path switches and endpoints
+// use (BM_LinkCellHotPath offers cell by cell): one frame per train, its
+// last cell end-of-frame, simulator drained between trains. range(0) is the
+// train size.
+void BM_LinkSendBurst(benchmark::State& state) {
+  const size_t kTrain = static_cast<size_t>(state.range(0));
+  sim::Simulator sim;
+  atm::Link link(&sim, "l", 622'000'000, sim::Microseconds(1), /*queue_limit=*/8192);
+  CountingSink sink;
+  link.set_sink(&sink);
+  std::vector<atm::Cell> train(kTrain);
+  for (size_t i = 0; i < kTrain; ++i) {
+    train[i].vci = 42;
+    train[i].seq = i;
+  }
+  train.back().end_of_frame = true;
+  uint64_t cells = 0;
+  for (auto _ : state) {
+    cells += link.SendBurst(train.data(), train.size());
+    sim.Run();
+  }
+  benchmark::DoNotOptimize(sink.count());
+  state.SetItemsProcessed(static_cast<int64_t>(cells));
+  state.counters["cells/s"] =
+      benchmark::Counter(static_cast<double>(cells), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LinkSendBurst)->Arg(64);
 
 // A full switch transit: ingress link -> VCI lookup + relabel -> fabric ->
 // egress link -> sink. Exercises the whole forwarding path the way media

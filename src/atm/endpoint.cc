@@ -105,12 +105,20 @@ void Endpoint::ArmPacer(Vci vci, Pacer& pacer) {
 }
 
 Vci Endpoint::AllocateIncomingVci() {
-  Vci vci = kVciFirstData;
+  Vci vci = incoming_vci_hint_;
   while (incoming_vcis_.count(vci) > 0) {
     ++vci;
   }
   incoming_vcis_.insert(vci);
+  incoming_vci_hint_ = vci + 1;
   return vci;
+}
+
+void Endpoint::ReleaseIncomingVci(Vci vci) {
+  incoming_vcis_.erase(vci);
+  if (vci >= kVciFirstData && vci < incoming_vci_hint_) {
+    incoming_vci_hint_ = vci;
+  }
 }
 
 }  // namespace pegasus::atm

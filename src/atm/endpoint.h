@@ -87,8 +87,9 @@ class Endpoint : public CellSink {
 
   // Incoming-VCI bookkeeping used by signalling: the terminating VCI of each
   // VC ending at this endpoint must be locally unique.
+  // Returns the lowest free VCI at or above kVciFirstData.
   Vci AllocateIncomingVci();
-  void ReleaseIncomingVci(Vci vci) { incoming_vcis_.erase(vci); }
+  void ReleaseIncomingVci(Vci vci);
 
   uint64_t cells_received() const { return cells_received_; }
   uint64_t cells_sent() const { return cells_sent_; }
@@ -103,6 +104,9 @@ class Endpoint : public CellSink {
   CellHandler handler_;
   BurstHandler burst_handler_;
   std::set<Vci> incoming_vcis_;
+  // Every VCI in [kVciFirstData, incoming_vci_hint_) is in incoming_vcis_,
+  // so allocation probes from the hint, not from kVciFirstData.
+  Vci incoming_vci_hint_ = kVciFirstData;
   uint64_t cells_received_ = 0;
   uint64_t cells_sent_ = 0;
   uint64_t next_seq_ = 0;

@@ -1,9 +1,28 @@
 #include "src/atm/link.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace pegasus::atm {
+
+namespace {
+
+// QueuedAt(now) >= limit exactly when tx_free_at_ - now exceeds this: for
+// limit >= 1, ceil(d / cell_time) >= limit iff d > (limit - 1) * cell_time,
+// and a zero limit drops every cell.
+sim::DurationNs DropBacklog(size_t queue_limit, sim::DurationNs cell_time) {
+  constexpr sim::DurationNs kMax = std::numeric_limits<sim::DurationNs>::max();
+  if (queue_limit == 0) {
+    return std::numeric_limits<sim::DurationNs>::min();
+  }
+  if (queue_limit - 1 > static_cast<size_t>(kMax / cell_time)) {
+    return kMax;
+  }
+  return static_cast<sim::DurationNs>(queue_limit - 1) * cell_time;
+}
+
+}  // namespace
 
 Link::Link(sim::Simulator* sim, std::string name, int64_t bits_per_second,
            sim::DurationNs propagation_delay, size_t queue_limit)
@@ -12,7 +31,8 @@ Link::Link(sim::Simulator* sim, std::string name, int64_t bits_per_second,
       bps_(bits_per_second),
       prop_delay_(propagation_delay),
       cell_time_(sim::TransmissionTime(kCellSize, bits_per_second)),
-      queue_limit_(queue_limit) {}
+      queue_limit_(queue_limit),
+      drop_backlog_(DropBacklog(queue_limit, cell_time_)) {}
 
 size_t Link::QueuedAt(sim::TimeNs now) const {
   if (tx_free_at_ <= now) {
@@ -30,21 +50,19 @@ bool Link::SendCell(const Cell& cell) {
 
 bool Link::Enqueue(const Cell& cell) {
   const sim::TimeNs now = sim_->now();
-  if (QueuedAt(now) >= queue_limit_) {
+  // QueuedAt(now) >= queue_limit_, without its division (see DropBacklog).
+  if (tx_free_at_ - now > drop_backlog_) {
     // Tail-drop: the ARRIVING cell is lost, whatever its priority bit says
     // (see the class comment); the split counters record which class lost.
     ++(cell.low_priority ? cells_dropped_low_ : cells_dropped_high_);
     return false;
   }
-  const sim::TimeNs start = std::max(now, tx_free_at_);
-  const sim::TimeNs done = start + cell_time_;
-  tx_free_at_ = done;
-  busy_time_ += cell_time_;
+  tx_free_at_ = std::max(now, tx_free_at_) + cell_time_;
   ++cells_sent_;
-  train_.push_back(PendingCell{cell, done});
-  // Cells appended while a delivery event is pending ride that train; the
-  // event re-arms itself for whatever it finds undelivered.
-  if (!delivery_pending_) {
+  cells_.push_back(cell);
+  // Cells appended while a cut is pending ride that train; the cut re-arms
+  // for whatever it leaves uncut.
+  if (cut_ == 0) {
     ArmDelivery();
   }
   return true;
@@ -63,15 +81,20 @@ void Link::ArmDelivery() {
   // The train is cut at the first end-of-frame cell so frame completion
   // instants match the per-cell path exactly; frameless streams batch up to
   // kMaxTrainCells per event.
-  const size_t last = std::min(train_.size(), kMaxTrainCells) - 1;
+  const size_t uncut = cells_.size() - wire_;
+  const size_t last = std::min(uncut, kMaxTrainCells) - 1;
   size_t target = last;
   for (size_t i = 0; i < last; ++i) {
-    if (train_[i].cell.end_of_frame) {
+    if (cells_[wire_ + i].end_of_frame) {
       target = i;
       break;
     }
   }
-  delivery_pending_ = true;
+  cut_ = static_cast<uint32_t>(target + 1);
+  // The uncut cells are back-to-back up to tx_free_at_ (see the class
+  // comment), so the target completes uncut - cut_ cell times before it.
+  const sim::TimeNs done =
+      tx_free_at_ - static_cast<sim::DurationNs>(uncut - cut_) * cell_time_;
   // The event fires at serialisation completion for EVERY link — boundary or
   // not. Grouping decisions must only depend on what the transmitter has
   // actually serialised, never on cells that happen to be sent during the
@@ -81,7 +104,7 @@ void Link::ArmDelivery() {
   // pure delay, applied after the cut in DeliverReady. At most one
   // completion is pending and each is due after the last, so the lane's
   // times never decrease.
-  sim_->PushLane(&serialise_lane_, train_[target].done, &Link::OnSerialised, this);
+  sim_->PushLane(&serialise_lane_, done, &Link::OnSerialised, this);
 }
 
 void Link::OnSerialised(void* ctx, uint32_t, uint32_t) {
@@ -93,47 +116,42 @@ void Link::OnPropagated(void* ctx, uint32_t count, uint32_t) {
 }
 
 void Link::DeliverFront(size_t count) {
-  const Cell* cells = burst_buf_.front();
+  const Cell* cells = cells_.front();
   if (count == 1) {
     sink_->DeliverCell(cells[0]);
   } else {
     sink_->DeliverBurst(cells, count);
   }
-  burst_buf_.pop_front(count);
+  cells_.pop_front(count);
+  wire_ -= static_cast<uint32_t>(count);
 }
 
 void Link::DeliverReady() {
-  delivery_pending_ = false;
-  const sim::TimeNs now = sim_->now();
-  size_t count = 0;
-  while (count < train_.size() && train_[count].done <= now) {
-    ++count;
-  }
-  if (count > 0 && sink_ == nullptr) {
-    train_.pop_front(count);  // no sink: the cut train is discarded
-  } else if (count > 0) {
-    for (size_t i = 0; i < count; ++i) {
-      burst_buf_.push_back(train_[i].cell);
-    }
-    train_.pop_front(count);
+  const uint32_t count = cut_;
+  cut_ = 0;
+  if (sink_ == nullptr) {
+    // No sink has ever been attached, so nothing is on the wire and the
+    // cut train is the front of the FIFO: it is discarded.
+    cells_.pop_front(count);
+  } else {
+    wire_ += count;
     if (prop_delay_ == 0) {
       // Never a boundary link: its propagation delay is its lookahead, and
-      // RegisterBoundary refuses a zero lookahead.
+      // RegisterBoundary refuses a zero lookahead. The cut is the whole
+      // wire, and the sink may send on this link while it runs.
       DeliverFront(count);
     } else {
       // The cut is made at serialisation completion; the wire adds pure
       // delay, so its deliveries leave in FIFO order on one lane. A
       // boundary link's lane lives on the sink's shard.
-      const sim::TimeNs arrive = now + prop_delay_;
+      const sim::TimeNs arrive = sim_->now() + prop_delay_;
       sim::Simulator* wire = boundary_ != nullptr ? boundary_->Emit(arrive) : sim_;
-      wire->PushLane(&wire_lane_, arrive, &Link::OnPropagated, this,
-                     static_cast<uint32_t>(count));
+      wire->PushLane(&wire_lane_, arrive, &Link::OnPropagated, this, count);
     }
   }
-  // Whatever is still undelivered (queued after the event was armed, or
-  // enqueued re-entrantly by the sink — which then armed its own event)
-  // gets the next event.
-  if (train_.size() > 0 && !delivery_pending_) {
+  // Whatever is still uncut (queued after the cut was armed, or sent by a
+  // zero-delay sink, which then armed its own cut) gets the next cut.
+  if (cells_.size() > wire_ && cut_ == 0) {
     ArmDelivery();
   }
 }
@@ -143,7 +161,7 @@ double Link::utilization() const {
   if (now <= 0) {
     return 0.0;
   }
-  return std::min(1.0, static_cast<double>(busy_time_) / static_cast<double>(now));
+  return std::min(1.0, static_cast<double>(busy_time()) / static_cast<double>(now));
 }
 
 }  // namespace pegasus::atm

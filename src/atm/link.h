@@ -29,13 +29,27 @@
 // (sim::Simulator::PushLane) rather than closures: serialisation
 // completions on the link's own simulator, and wire deliveries — each
 // `now + propagation_delay`, the train's cell count the lane entry's only
-// argument — on the simulator the sink runs on. A wire is a pure delay, so
-// trains leave it in the order they entered: their cells wait in one reused
-// FIFO (burst_buf_) and each delivery takes its count from the front. A
-// boundary link differs only in where the wire lane lives: on the sink's
-// shard, after its BoundaryChannel has checked the lookahead. The link
-// holds two 4-byte lane ids and allocates nothing until it first carries a
-// train.
+// argument — on the simulator the sink runs on. A boundary link differs
+// only in where the wire lane lives: on the sink's shard, after its
+// BoundaryChannel has checked the lookahead. The link holds two 4-byte
+// lane ids and allocates nothing until it first carries a cell.
+//
+// One FIFO holds every accepted, undelivered cell in send order, and each
+// cell is copied into it once. Its first wire_ cells are cut trains on the
+// wire; a wire is a pure delay, so trains leave it in the order they
+// entered, and each wire delivery hands the front `count` cells to the
+// sink and pops them. The rest are the current, uncut train; a cut only
+// moves the boundary. The uncut cells are always back-to-back, the last
+// completing at tx_free_at_: a cell that joins a non-empty uncut train
+// arrives before the train's last cell completes (a cut is pending and
+// fires no later than that, or a zero-delay sink sends from inside a cut,
+// whose remaining cells complete later), so it starts when its
+// predecessor finishes. Cell i of n uncut cells therefore completes at
+// tx_free_at_ - (n-1-i) * cell_time_, and no cell carries a completion
+// stamp. A cut fires at its target's completion and takes exactly the
+// cells up to the target, since the ones after it complete later, so its
+// size is known when it is armed. A sink may send on the link delivering
+// to it: the FIFO keeps the delivered span valid while it grows.
 //
 // Activity log: every field Stats() reports that a monitor diffs
 // (cells_sent, both drop counters, busy_time) changes only inside the
@@ -49,9 +63,13 @@
 #ifndef PEGASUS_SRC_ATM_LINK_H_
 #define PEGASUS_SRC_ATM_LINK_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/atm/cell.h"
@@ -82,30 +100,67 @@ class CellSink {
 // outweighs the rest, so each element moves O(1) times amortised and the
 // buffer stays within about twice its peak occupancy: a permanently
 // backlogged link holds O(queue_limit) cells, not an ever-growing history.
+//
+// The span front() returns stays valid until the next front() or
+// pop_front(), even if push_back outgrows the buffer meanwhile: growth
+// keeps the buffer it replaces until the next front(). So a consumer may
+// hand the span to code that appends to the same FIFO, as a link's sink
+// may send on that link while a train is being delivered to it.
 template <typename T>
 class Fifo {
+  static_assert(std::is_trivially_copyable_v<T>, "compaction moves elements bytewise");
+
  public:
-  size_t size() const { return buf_.size() - head_; }
+  size_t size() const { return tail_ - head_; }
   // The i-th oldest element.
   const T& operator[](size_t i) const { return buf_[head_ + i]; }
   // The oldest element; the rest follow it contiguously.
-  const T* front() const { return buf_.data() + head_; }
-  T& back() { return buf_.back(); }
-  void push_back(const T& value) { buf_.push_back(value); }
+  const T* front() {
+    retired_.reset();
+    return buf_.get() + head_;
+  }
+  T& back() { return buf_[tail_ - 1]; }
+  void push_back(const T& value) {
+    if (tail_ == cap_) {
+      Grow();
+    }
+    buf_[tail_++] = value;
+  }
   void pop_front(size_t count) {
-    head_ += count;
-    if (head_ == buf_.size()) {
-      buf_.clear();
+    head_ += static_cast<uint32_t>(count);
+    if (head_ == tail_) {
       head_ = 0;
-    } else if (head_ * 2 >= buf_.size()) {
-      buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(head_));
+      tail_ = 0;
+    } else if (head_ * 2 >= tail_) {
+      std::memmove(buf_.get(), buf_.get() + head_, (tail_ - head_) * sizeof(T));
+      tail_ -= head_;
       head_ = 0;
     }
   }
 
  private:
-  std::vector<T> buf_;
-  size_t head_ = 0;
+  // Moves the elements into a buffer twice their number (at least 16). The
+  // buffer current at the last front() is kept in retired_; a later one
+  // was never handed out and is freed at once.
+  void Grow() {
+    const uint32_t live = tail_ - head_;
+    const uint32_t cap = std::max<uint32_t>(16, 2 * live);
+    std::unique_ptr<T[]> grown(new T[cap]);
+    std::copy(buf_.get() + head_, buf_.get() + tail_, grown.get());
+    if (retired_ == nullptr) {
+      retired_ = std::move(buf_);
+    }
+    buf_ = std::move(grown);
+    head_ = 0;
+    tail_ = live;
+    cap_ = cap;
+  }
+
+  std::unique_ptr<T[]> buf_;
+  std::unique_ptr<T[]> retired_;
+  uint32_t head_ = 0;
+  uint32_t tail_ = 0;
+  uint32_t cap_ = 0;
 };
 
 class Link {
@@ -171,8 +226,11 @@ class Link {
   // delivery event — same trajectory, no bookkeeping on the hot path.
   size_t queued_cells() const;
   size_t queue_limit() const { return queue_limit_; }
-  // Cumulative time the transmitter has spent busy since construction.
-  sim::DurationNs busy_time() const { return busy_time_; }
+  // Cumulative time the transmitter has spent busy since construction: one
+  // cell time per cell sent.
+  sim::DurationNs busy_time() const {
+    return static_cast<sim::DurationNs>(cells_sent_) * cell_time_;
+  }
 
   // Cheap copyable snapshot of the link's cumulative counters plus the
   // instantaneous queue state — a monitor diffs two snapshots to get the
@@ -187,7 +245,7 @@ class Link {
   };
   StatsSnapshot Stats() const {
     return StatsSnapshot{cells_sent_,    cells_dropped_high_, cells_dropped_low_,
-                         queued_cells(), queue_limit_,        busy_time_};
+                         queued_cells(), queue_limit_,        busy_time()};
   }
 
  private:
@@ -195,13 +253,6 @@ class Link {
   // never marks end-of-frame (raw floods): bounds the added latency of an
   // interior cell to kMaxTrainCells serialisation times.
   static constexpr size_t kMaxTrainCells = 128;
-
-  // A cell waiting in (or in flight beyond) the transmitter, tagged with the
-  // instant its serialisation completes.
-  struct PendingCell {
-    Cell cell;
-    sim::TimeNs done;
-  };
 
   // Number of accepted cells whose serialisation completes after `now`.
   size_t QueuedAt(sim::TimeNs now) const;
@@ -215,12 +266,13 @@ class Link {
   // The per-cell body of SendCell: tail-drop test, transmitter reservation,
   // train append. Callers have already marked the link active.
   bool Enqueue(const Cell& cell);
-  // Schedules the next delivery event: at the first undelivered
-  // end-of-frame cell's completion, or the kMaxTrainCells-th undelivered
-  // cell's, whichever is earlier.
+  // Arms the next cut: at the first uncut end-of-frame cell's completion,
+  // or the kMaxTrainCells-th uncut cell's, whichever is earlier.
   void ArmDelivery();
+  // The armed cut: moves its cells onto the wire.
   void DeliverReady();
-  // Hands the `count` oldest cells of burst_buf_ to the sink and drops them.
+  // Hands the `count` oldest cells, all on the wire, to the sink and drops
+  // them.
   void DeliverFront(size_t count);
   // Lane callbacks (sim::Simulator::LaneFn); `ctx` is the Link.
   static void OnSerialised(void* ctx, uint32_t, uint32_t);
@@ -235,6 +287,9 @@ class Link {
   sim::DurationNs prop_delay_;
   sim::DurationNs cell_time_;
   size_t queue_limit_;
+  // A cell arriving while the transmitter is reserved more than this far
+  // ahead finds queue_limit_ cells waiting and is dropped (see Enqueue).
+  sim::DurationNs drop_backlog_;
   CellSink* sink_ = nullptr;
   sim::BoundaryChannel* boundary_ = nullptr;
 
@@ -244,23 +299,19 @@ class Link {
   uint64_t cells_sent_ = 0;
   uint64_t cells_dropped_high_ = 0;
   uint64_t cells_dropped_low_ = 0;
-  sim::DurationNs busy_time_ = 0;
 
-  // The current train: accepted, undelivered cells in send order.
-  Fifo<PendingCell> train_;
-  bool delivery_pending_ = false;
+  // Accepted, undelivered cells in send order: wire_ cut cells on the wire,
+  // then the uncut train (see the class comment).
+  Fifo<Cell> cells_;
+  uint32_t wire_ = 0;
+  // Cells the pending cut takes; zero while none is armed.
+  uint32_t cut_ = 0;
   // The owning Network's activity log while armed, null once this link is
   // logged until the next drain, and always null for a free-standing link.
   std::vector<int>* activity_log_ = nullptr;
   // Wire deliveries, on the sink's simulator (sim_, or the destination
   // shard's for a boundary link).
   sim::Simulator::LaneId wire_lane_ = sim::Simulator::kNoLane;
-  // Cut trains in flight on the wire, oldest first. DeliverReady appends a
-  // cut train before the sink sees it, so a re-entrant SendCell from the
-  // sink can grow train_ without invalidating the span being delivered; a
-  // wire-lane event delivers the front `count` cells. A zero-delay link
-  // delivers the train at once, so its FIFO is empty between cuts.
-  Fifo<Cell> burst_buf_;
 };
 
 }  // namespace pegasus::atm

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "src/atm/aal5.h"
@@ -13,6 +14,7 @@
 #include "src/atm/transport.h"
 #include "src/atm/wire.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/random.h"
 
 namespace pegasus::atm {
 namespace {
@@ -328,6 +330,65 @@ TEST(LinkTest, UtilizationTracksBusyFraction) {
   link.SendCell(Cell{});
   sim.RunUntil(sim::Microseconds(8));  // busy 4.24us of 8.48us
   EXPECT_NEAR(link.utilization(), 0.53, 0.02);
+}
+
+// A span from Fifo::front() stays readable while pushes outgrow the buffer
+// several times over, until the next front(); the FIFO's order survives
+// the moves and the compaction. Run under ASan this catches a freed span.
+TEST(FifoTest, FrontSpanSurvivesGrowthUntilNextFront) {
+  Fifo<uint64_t> fifo;
+  uint64_t next = 0;
+  uint64_t expect_front = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 10; ++i) {
+      fifo.push_back(next++);
+    }
+    const uint64_t* span = fifo.front();
+    const size_t held = fifo.size();
+    for (int i = 0; i < 300; ++i) {  // 16 -> ... -> 512: several grows
+      fifo.push_back(next++);
+    }
+    for (size_t i = 0; i < held; ++i) {
+      ASSERT_EQ(span[i], expect_front + i);
+    }
+    fifo.pop_front(held);
+    expect_front += held;
+    ASSERT_EQ(fifo.size(), next - expect_front);
+    for (size_t i = 0; i < fifo.size(); ++i) {
+      ASSERT_EQ(fifo[i], expect_front + i);
+    }
+  }
+}
+
+// The hinted incoming-VCI allocator hands out exactly what a linear probe
+// from kVciFirstData would: the lowest free VCI, over a seeded mix of
+// allocations and releases (including releases of VCIs never allocated).
+TEST(EndpointTest, IncomingVciAllocationMatchesLinearProbe) {
+  sim::Simulator sim;
+  Endpoint ep(&sim, "ep");
+  std::set<Vci> used;
+  sim::Rng rng(5);
+  for (int step = 0; step < 6000; ++step) {
+    if (used.empty() || rng.Bernoulli(0.55)) {
+      Vci want = kVciFirstData;
+      while (used.count(want) > 0) {
+        ++want;
+      }
+      ASSERT_EQ(ep.AllocateIncomingVci(), want) << "step " << step;
+      used.insert(want);
+    } else if (rng.Bernoulli(0.05)) {
+      const Vci stray = static_cast<Vci>(rng.UniformInt(0, 600));
+      if (used.count(stray) == 0) {
+        ep.ReleaseIncomingVci(stray);
+      }
+    } else {
+      auto it = used.begin();
+      std::advance(it, rng.UniformInt(0, static_cast<int64_t>(used.size()) - 1));
+      ep.ReleaseIncomingVci(*it);
+      used.erase(it);
+    }
+  }
+  EXPECT_GT(used.size(), 100u);
 }
 
 TEST(SwitchTest, RoutesAndRelabels) {
